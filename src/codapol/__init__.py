@@ -1,10 +1,11 @@
 """Deterministic simulator and analysis toolkit for a quantized opinion model
 coupled to a scalar pollution state."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     ActionSpacePoint,
     Aperiodic,
-    AttractorClass,
     ClusterReport,
     FixedPoint,
     InsufficientDataError,
@@ -52,4 +53,5 @@ from .sweep import (
     write_gallery_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -25,12 +25,13 @@ from .analysis import (
     write_lattice_grid_csv,
 )
 from .config import ConfigError, RunConfig, parse_config, render_config
-from .dynamics import initial_state, random_opinions, simulate, step
+from .dynamics import _run, initial_state, simulate
 from .sweep import (
     FSInit,
     RandomInit,
     SweepError,
     SweepSpec,
+    _initial_opinions,
     attractor_gallery,
     run_sweep,
     write_bifurcation_csv,
@@ -39,10 +40,8 @@ from .sweep import (
 
 
 def _build_opinions(cfg: RunConfig, n_agents: int) -> np.ndarray:
-    if cfg.init.kind == "fs":
-        return np.full(n_agents, cfg.init.theta0, dtype=np.float64)
-    if cfg.init.kind == "random":
-        return random_opinions(cfg.seed, n_agents)
+    if cfg.init.kind != "file":
+        return _initial_opinions(_init_spec(cfg), n_agents)
     values = [float(tok) for tok in Path(cfg.init.path).read_text().split()]
     if len(values) != n_agents:
         raise ValueError(
@@ -72,11 +71,10 @@ def _sweep_spec(cfg: RunConfig, grid: tuple[float, ...], swept: str) -> SweepSpe
     )
 
 
-def _simulate_run(cfg: RunConfig):
+def _start_state(cfg: RunConfig):
     graph = cfg.graph.build()
     opinions = _build_opinions(cfg, graph.n_agents)
-    state0 = initial_state(opinions, cfg.init.p0, cfg.params)
-    return graph, simulate(state0, graph, cfg.params, cfg.steps, cfg.stride)
+    return graph, initial_state(opinions, cfg.init.p0, cfg.params)
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
@@ -87,7 +85,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
     written[0].write_text(render_config(cfg))
 
     if cfg.command in ("simulate", "clusters"):
-        graph, traj = _simulate_run(cfg)
+        graph, state0 = _start_state(cfg)
+        traj = simulate(state0, graph, cfg.params, cfg.steps, cfg.stride)
         if cfg.command == "simulate":
             path = out_dir / "trajectory.csv"
             traj.write_csv(path)
@@ -112,21 +111,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         write_gallery_csv(entries, path)
         written.append(path)
     elif cfg.command == "classify":
-        graph = cfg.graph.build()
-        opinions = _build_opinions(cfg, graph.n_agents)
-        state = initial_state(opinions, cfg.init.p0, cfg.params)
-        if cfg.transient > 0:
-            warmup = simulate(state, graph, cfg.params, cfg.transient,
-                              stride=cfg.transient)
-            state = warmup.state_at(warmup.n_snapshots - 1)
-        # advance the tail via step(): mid-run states may legitimately sit at
-        # the opinion boundary, which the initial-state validation would reject
-        tail_theta = np.empty((cfg.tail, graph.n_agents))
-        tail_p = np.empty(cfg.tail)
-        for j in range(cfg.tail):
-            state = step(state, graph, cfg.params)
-            tail_theta[j] = state.opinions
-            tail_p[j] = state.pollution
+        graph, state0 = _start_state(cfg)
+        tail = range(cfg.transient + 1, cfg.transient + cfg.tail + 1)
+        tail_theta, tail_p, _, _ = _run(state0, graph, cfg.params, tail)
         attractor = classify_states(
             tail_theta, tail_p, tol=cfg.tol, max_period=cfg.max_period,
         )

@@ -5,6 +5,11 @@ state.  For throughput the sweep engine advances many grid points in one
 vectorized batch; every elementwise operation matches the single-run engine
 in :mod:`codapol.dynamics`, so batch results are bitwise identical to
 running each point alone, regardless of chunking or thread count.
+
+The gallery runs single points through :func:`codapol.dynamics.simulate`,
+whose scalar kernel takes 27-29 us per tick at N=20 against 49-59 us for the
+batch at P=1 (numpy-scalar quantizers: 5.3 us against 0.12 us in plain
+Python; ``count_nonzero(axis=...)``: 6.9 us against 2.3 us).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .analysis import AttractorClass, classify_states
-from .dynamics import ModelParams, Trajectory, initial_state, random_opinions, simulate
+from .dynamics import ModelParams, Trajectory, _check_initial, initial_state, random_opinions, simulate
 from .graph import Graph, GraphSpec
 
 
@@ -104,30 +109,28 @@ class SweepRow:
         return self.opinion_samples if self.is_fs else self.opinion_samples[:, 1]
 
 
-def _initial_opinions(spec: SweepSpec, graph: Graph) -> np.ndarray:
-    if isinstance(spec.initial, FSInit):
-        return np.full(graph.n_agents, spec.initial.theta0, dtype=np.float64)
-    return random_opinions(spec.initial.seed, graph.n_agents)
+def _initial_opinions(init: InitSpec, n_agents: int) -> np.ndarray:
+    """Tick-0 opinions of a fully synchronized or seeded-random start."""
+    if isinstance(init, FSInit):
+        return np.full(n_agents, init.theta0, dtype=np.float64)
+    return random_opinions(init.seed, n_agents)
 
 
-def _validate_initial(spec: SweepSpec, graph: Graph, opinions: np.ndarray) -> None:
+def _start(spec: SweepSpec) -> tuple[Graph, np.ndarray]:
+    """The graph and tick-0 opinions every grid point of ``spec`` starts from."""
     if isinstance(spec.initial, FSInit) and spec.graph_spec.kind != "complete":
-        raise ValueError(
-            "a fully synchronized initial state requires a complete graph"
-        )
-    for i, th in enumerate(opinions):
-        if th == 0.0 or abs(th) >= 1.0:
-            raise ValueError(f"agent {i} has illegal initial opinion {th}")
-    for v in spec.grid:
-        if spec.initial.p0 == spec.params_at(v).p_bar:
-            raise ValueError(
-                f"grid value {v!r}: initial pollution sits exactly on the threshold"
-            )
+        raise ValueError("a fully synchronized initial state requires a complete graph")
+    graph = spec.graph_spec.build()
+    return graph, _initial_opinions(spec.initial, graph.n_agents)
 
 
 def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
                values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of grid points; returns tail states [P, tail, N] and [P, tail]."""
+    """Advance a batch of grid points; returns tail states [P, tail, N] and [P, tail].
+
+    The batched form of ``dynamics._advance``, which stays for single runs:
+    at P=1, N=20 it takes 27-29 us per tick against 49-59 us here.
+    """
     n_pts = len(values)
     n = graph.n_agents
     plist = [spec.params_at(v) for v in values]
@@ -205,9 +208,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         raise ValueError(f"threads must be positive, got {threads}")
     if not spec.grid:
         return []
-    graph = spec.graph_spec.build()
-    opinions0 = _initial_opinions(spec, graph)
-    _validate_initial(spec, graph, opinions0)
+    graph, opinions0 = _start(spec)
+    _check_initial(opinions0, spec.initial.p0, [spec.params_at(v).p_bar for v in spec.grid])
     fs = isinstance(spec.initial, FSInit)
 
     n_pts = len(spec.grid)
@@ -236,15 +238,12 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     Each entry simulates transient + tail ticks at one beta (other
     parameters from ``base``) and classifies the tail.
     """
-    graph = base.graph_spec.build()
-    opinions0 = _initial_opinions(base, graph)
-    if isinstance(base.initial, FSInit) and base.graph_spec.kind != "complete":
-        raise ValueError("a fully synchronized initial state requires a complete graph")
+    graph, opinions0 = _start(base)
+    state0 = initial_state(opinions0, base.initial.p0, base.base_params)
     entries = []
     for b in betas:
         try:
             params = replace(base.base_params, beta=float(b))
-            state0 = initial_state(opinions0, base.initial.p0, params)
             traj = simulate(state0, graph, params, base.transient + base.tail, stride=1)
             attractor = classify_states(
                 traj.opinions[-base.tail:], traj.pollution[-base.tail:],

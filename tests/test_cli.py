@@ -1,4 +1,11 @@
+import numpy as np
+import pytest
+
+from codapol import cli
+from codapol.analysis import classify_states
 from codapol.cli import main
+from codapol.dynamics import ModelParams, fs_initial_state, simulate
+from codapol.graph import complete_graph
 
 BASE_SECTIONS = """
 [graph]
@@ -88,6 +95,19 @@ class TestSimulateCommand:
         first_row = header[1].split(",")
         assert float(first_row[3]) == 0.1  # theta_0 at tick 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_opinion_file_exits_one(self, tmp_path, capsys, bad):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("\n".join([bad] + ["0.5"] * 19))
+        sections = BASE_SECTIONS.replace(
+            "kind = fs\ntheta0 = 0.4", f"kind = file\npath = {ops}"
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SIMULATE_BLOCK, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 1
+        assert "agent 0" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestSweepCommand:
     def test_bifurcation_csv_written(self, tmp_path):
@@ -122,6 +142,37 @@ class TestSweepCommand:
         text = (out / "classification.csv").read_text()
         assert text.startswith("class,period\n")
         assert text.strip().split("\n")[1] == "fixed,"
+
+    def test_classify_tail_runs_through_threshold_tie(self, tmp_path, monkeypatch):
+        # With p_bar = 40 the pollution of this FS start decays onto the
+        # threshold exactly at tick 54, inside the transient: a run restarted
+        # from there is rejected, so the tail has to come from one run.
+        params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=40.0)
+        transient, tail = 100, 256
+        traj = simulate(fs_initial_state(0.4, 20, 100.0, params), complete_graph(20),
+                        params, transient + tail)
+        assert traj.pollution[53] != 40.0 and traj.pollution[54] == 40.0
+        with pytest.raises(ValueError, match="threshold"):
+            simulate(traj.state_at(transient), complete_graph(20), params, tail)
+
+        seen = {}
+
+        def recording_classify(theta, p, **kwargs):
+            seen.update(theta=theta.copy(), p=p.copy())
+            return classify_states(theta, p, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_states", recording_classify)
+        block = (
+            "classify",
+            f"\n[classify]\ntransient = {transient}\ntail = {tail}\nmax_period = 128\n",
+        )
+        out = tmp_path / "out"
+        sections = BASE_SECTIONS.replace("p_bar = 15", "p_bar = 40")
+        cfg = write_config(tmp_path, block, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 0
+        assert (out / "classification.csv").read_text() == "class,period\nfixed,\n"
+        assert np.array_equal(seen["theta"], traj.opinions[transient + 1:])
+        assert np.array_equal(seen["p"], traj.pollution[transient + 1:])
 
 
 class TestDeterminism:

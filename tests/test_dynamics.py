@@ -62,6 +62,21 @@ class TestModelParams:
         with pytest.raises(ValueError, match="e_min"):
             ModelParams(beta=0.5, gamma=0.5, e_min=2, e_max=1, p_bar=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_bar", math.nan),
+        ("p_bar", math.inf),
+        ("e_max", math.inf),
+        ("e_max", math.nan),
+        ("e_min", -math.inf),
+        ("beta", math.nan),
+        ("gamma", math.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(beta=0.5, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ModelParams(**kwargs)
+
     def test_boundary_betas_allowed(self):
         ModelParams(beta=0.0, gamma=0.5, e_min=0, e_max=1, p_bar=0)
         ModelParams(beta=1.0, gamma=0.5, e_min=0, e_max=0, p_bar=0)
@@ -258,6 +273,22 @@ class TestInitialState:
     def test_pollution_tie_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             initial_state([0.5], 15.0, BASE)
+
+    @pytest.mark.parametrize("opinions, pollution, match", [
+        ([math.nan, 0.5], 100.0, "agent 0"),
+        ([0.5, math.inf], 100.0, "agent 1"),
+        ([0.5, -math.inf], 100.0, "agent 1"),
+        ([0.5, 0.25], math.nan, "finite"),
+        ([0.5, 0.25], -math.inf, "finite"),
+    ])
+    def test_non_finite_rejected(self, opinions, pollution, match):
+        with pytest.raises(ValueError, match=match):
+            initial_state(opinions, pollution, BASE, allow_boundary=True)
+        # simulate applies the same check to a hand-built state
+        state = SimState(opinions=np.array(opinions), pollution=pollution,
+                         actions=np.ones(2, dtype=np.int64), q_p=1)
+        with pytest.raises(ValueError, match=match):
+            simulate(state, complete_graph(2), BASE, 5, allow_boundary=True)
 
     def test_memories_from_signs(self):
         s = initial_state([0.5, -0.25], 3.0, BASE)

@@ -1,10 +1,17 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from codapol.analysis import FixedPoint, LimitCycle
-from codapol.dynamics import ModelParams, fs_initial_state, simulate
+from codapol.dynamics import (
+    ModelParams,
+    fs_initial_state,
+    initial_state,
+    random_opinions,
+    simulate,
+)
 from codapol.graph import GraphSpec
 from codapol.sweep import (
     FSInit,
@@ -120,6 +127,38 @@ class TestRunSweep:
                                   traj.opinions[spec.transient + 1:, 0])
             assert np.array_equal(row.p_samples,
                                   traj.pollution[spec.transient + 1:])
+
+    @pytest.mark.parametrize("graph_spec", [
+        GraphSpec(kind="lattice", side=4),
+        GraphSpec(kind="random", n=16, edge_prob=0.4, seed=3),
+    ], ids=["lattice", "random"])
+    def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec):
+        spec = fs_spec([0.3, 0.6, 0.95], transient=200, tail=260, max_period=128,
+                       initial=RandomInit(seed=9, p0=100.0), graph_spec=graph_spec)
+        rows = run_sweep(spec)
+        graph = graph_spec.build()
+        opinions0 = random_opinions(9, graph.n_agents)
+        for row in rows:
+            params = spec.params_at(row.param_value)
+            s0 = initial_state(opinions0, 100.0, params)
+            traj = simulate(s0, graph, params, spec.transient + spec.tail, stride=1)
+            tail = traj.opinions[spec.transient + 1:]
+            expected = np.column_stack([tail.min(axis=1), tail.mean(axis=1),
+                                        tail.max(axis=1)])
+            assert np.array_equal(row.opinion_samples, expected)
+            assert np.array_equal(row.p_samples, traj.pollution[spec.transient + 1:])
+
+    @pytest.mark.parametrize("initial, match", [
+        (FSInit(theta0=math.nan, p0=100.0), "agent 0"),
+        (FSInit(theta0=0.4, p0=math.nan), "finite"),
+        (RandomInit(seed=9, p0=math.inf), "finite"),
+    ])
+    def test_non_finite_initial_rejected(self, initial, match):
+        spec = fs_spec([0.45, 0.999], initial=initial)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(spec)
+        with pytest.raises(ValueError, match=match):
+            attractor_gallery([0.45], spec)
 
     def test_non_fs_sweep_stores_min_mean_max(self):
         spec = fs_spec(
