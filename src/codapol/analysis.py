@@ -263,6 +263,8 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-
     """
     if max_period < 1:
         raise ValueError(f"max_period must be positive, got {max_period}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     thetas = np.asarray(thetas, dtype=np.float64)
     pollutions = np.asarray(pollutions, dtype=np.float64)
     n_tail = thetas.shape[0]

@@ -79,10 +79,11 @@ def _start_state(cfg: RunConfig):
 
 def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
     """Execute one command; returns the paths written (manifest first)."""
+    manifest = render_config(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "manifest.txt"]
-    written[0].write_text(render_config(cfg))
+    written[0].write_text(manifest)
 
     if cfg.command in ("simulate", "clusters"):
         graph, state0 = _start_state(cfg)
@@ -121,8 +122,6 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         period = str(attractor.period) if attractor.kind == "cycle" else ""
         path.write_text("class,period\n" + f"{attractor.kind},{period}\n")
         written.append(path)
-    else:  # unreachable after parse_config validation
-        raise ConfigError(f"unknown command {cfg.command!r}")
 
     if not quiet:
         for p in written:
@@ -150,17 +149,11 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = parse_config(text)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {args.seed}")
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"threads must be positive, got {args.threads}")
-            cfg = replace(cfg, threads=args.threads)
+        overrides = {key: getattr(args, key) for key in ("seed", "out", "threads")
+                     if getattr(args, key) is not None}
+        # Re-parsing the rendered config puts overrides through the file's checks
+        # and makes sure the manifest written parses back.
+        cfg = parse_config(render_config(replace(parse_config(text), **overrides)))
         run(cfg, quiet=args.quiet)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,21 +2,29 @@
 
 A config document has ``[section]`` headers and ``key = value`` lines; blank
 lines and ``#`` comments are ignored.  Unknown sections or keys are errors,
-never silently dropped.  ``render_config`` produces a canonical document
-that parses back to an equal RunConfig, which is what run manifests are
-made of: a manifest alone reproduces a run bit-exactly.
+never silently dropped.
+
+The key table below (``_KEYS`` with ``_KINDS`` and ``_COMMAND_SECTION``) is
+the format: every section, every key with its converter, bounds, renderer
+and default, and the keys of each graph kind, init kind and command in
+document order.  ``parse_config`` and ``render_config`` both walk it, so
+``render_config`` produces a canonical document that parses back to an equal
+RunConfig.  That is what run manifests are made of: a manifest alone
+reproduces a run bit-exactly.  Values that would not survive the trip (a
+``#``, a line break, surrounding whitespace) cannot be rendered.  The
+``grid_start``/``grid_stop``/``grid_step`` range form of a sweep grid is
+accepted on input only; manifests list the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import ModelParams
-from .graph import GraphSpec
-
-COMMANDS = ("simulate", "sweep", "gallery", "clusters", "classify")
+from .graph import _GRAPH_KINDS, GraphSpec
+from .sweep import SWEEPABLE
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_PERIOD = 256
@@ -91,42 +99,38 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-class _Section:
-    """One section's keys with typed, consume-and-complain access."""
-
-    def __init__(self, name: str, data: dict[str, str]):
-        self.name = name
-        self.data = dict(data)
-
-    def take(self, key: str, conv, required: bool = True, default=None):
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"section [{self.name}] is missing key {key!r}")
-            return default
-        raw = self.data.pop(key)
-        try:
-            return conv(raw)
-        except ConfigError:
-            raise
-        except Exception:
-            raise ConfigError(
-                f"key {key!r} in [{self.name}]: cannot interpret {raw!r}"
-            ) from None
-
-    def finish(self) -> None:
-        if self.data:
-            extra = ", ".join(sorted(self.data))
-            raise ConfigError(f"unknown key(s) in [{self.name}]: {extra}")
+def _convert(section: str, key: str, conv, raw):
+    """``conv(raw)``, with any failure reported as a ConfigError naming the key."""
+    try:
+        return conv(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"key {key!r} in [{section}]: {exc}") from None
+    except Exception:
+        raise ConfigError(f"key {key!r} in [{section}]: cannot interpret {raw!r}") from None
 
 
-def _to_int(raw: str) -> int:
-    return int(raw, 10)
+def _int(lo: int | None = None, hi: int | None = None):
+    def conv(raw: str) -> int:
+        value = int(raw, 10)
+        if hi is not None and not lo <= value < hi:
+            raise ConfigError(f"must lie in [{lo}, {hi}), got {value}")
+        if lo is not None and value < lo:
+            raise ConfigError(f"must be at least {lo}, got {value}")
+        return value
+    return conv
 
 
 def _to_float(raw: str) -> float:
     value = float(raw)
     if math.isnan(value) or math.isinf(value):
         raise ConfigError(f"value {raw!r} must be finite")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = _to_float(raw)
+    if value <= 0:
+        raise ConfigError(f"must be positive, got {value}")
     return value
 
 
@@ -137,244 +141,183 @@ def _to_float_list(raw: str) -> tuple[float, ...]:
     return tuple(_to_float(p) for p in parts)
 
 
+def _one_of(choices):
+    def conv(raw: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"must be one of {', '.join(choices)}, got {raw!r}")
+        return raw
+    return conv
+
+
 def _existing_path(raw: str) -> str:
     if not Path(raw).is_file():
         raise ConfigError(f"path {raw!r} does not exist")
     return raw
 
 
-def _parse_graph(sec: _Section) -> GraphSpec:
-    kind = sec.take("kind", str)
-    if kind == "complete":
-        spec = GraphSpec(kind="complete", n=sec.take("n", _to_int))
-    elif kind == "lattice":
-        spec = GraphSpec(kind="lattice", side=sec.take("side", _to_int))
-    elif kind == "random":
-        spec = GraphSpec(
-            kind="random",
-            n=sec.take("n", _to_int),
-            edge_prob=sec.take("edge_prob", _to_float),
-            seed=sec.take("seed", _to_int),
-        )
-    elif kind == "edgelist":
-        spec = GraphSpec(kind="edgelist", path=sec.take("path", _existing_path))
-    else:
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _fmt_list(values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
+def _text(value) -> str:
+    text = str(value)
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
         raise ConfigError(
-            f"graph kind must be complete, lattice, random or edgelist, got {kind!r}"
+            f"{text!r} cannot round-trip: values may not contain '#' or line breaks "
+            "or start or end with whitespace"
         )
-    sec.finish()
-    return spec
+    return text
 
 
-def _parse_params(sec: _Section) -> ModelParams:
-    kwargs = {k: sec.take(k, _to_float) for k in ("beta", "gamma", "e_min", "e_max", "p_bar")}
-    sec.finish()
-    try:
-        return ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"section [params]: {exc}") from None
+# The key table.  _KEYS[section][key] is (converter, renderer, default or
+# _REQUIRED); sections without kinds hold their keys in document order, and
+# _KINDS lists the keys of each [graph] and [init] kind.
+_REQUIRED = object()
+_COMMAND_SECTION = {
+    "simulate": "simulate", "sweep": "sweep", "gallery": "gallery",
+    "clusters": "simulate", "classify": "classify",
+}
+COMMANDS = tuple(_COMMAND_SECTION)
+_INIT_KINDS = {"fs": ("theta0",), "random": (), "file": ("path",)}
+_KINDS = {
+    "graph": {kind: ("kind", *fields) for kind, (_, fields) in _GRAPH_KINDS.items()},
+    "init": {kind: ("kind", "p0", *extra) for kind, extra in _INIT_KINDS.items()},
+}
+_FLOAT = (_to_float, _fmt, _REQUIRED)
+_TAIL = {
+    "transient": (_int(0), str, _REQUIRED),
+    "tail": (_int(1), str, _REQUIRED),
+    "tol": (_positive_float, _fmt, DEFAULT_TOL),
+    "max_period": (_int(1), str, DEFAULT_MAX_PERIOD),
+}
+_KEYS = {
+    "run": {
+        "command": (_one_of(COMMANDS), _text, _REQUIRED),
+        "out": (str, _text, _REQUIRED),
+        "seed": (_int(0, 2 ** 64), str, 0),
+        "threads": (_int(1), str, 1),
+    },
+    "graph": {
+        "kind": (_one_of(_GRAPH_KINDS), _text, _REQUIRED),
+        "n": (_int(), str, _REQUIRED),
+        "side": (_int(), str, _REQUIRED),
+        "edge_prob": _FLOAT,
+        "seed": (_int(), str, _REQUIRED),
+        "path": (_existing_path, _text, _REQUIRED),
+    },
+    "params": {key: _FLOAT for key in ("beta", "gamma", "e_min", "e_max", "p_bar")},
+    "init": {
+        "kind": (_one_of(_INIT_KINDS), _text, _REQUIRED),
+        "p0": _FLOAT,
+        "theta0": _FLOAT,
+        "path": (_existing_path, _text, _REQUIRED),
+    },
+    "simulate": {"steps": (_int(0), str, _REQUIRED), "stride": (_int(1), str, 1)},
+    "sweep": {
+        "param": (_one_of(SWEEPABLE), _text, _REQUIRED),
+        "grid": (_to_float_list, _fmt_list, _REQUIRED),
+        **_TAIL,
+    },
+    "gallery": {"betas": (_to_float_list, _fmt_list, _REQUIRED), **_TAIL},
+    "classify": _TAIL,
+}
+# RunConfig fields named apart from their key.
+_FIELDS = {"param": "sweep_param"}
 
 
-def _parse_init(sec: _Section) -> InitConfig:
-    kind = sec.take("kind", str)
-    p0 = sec.take("p0", _to_float)
-    if kind == "fs":
-        init = InitConfig(kind="fs", p0=p0, theta0=sec.take("theta0", _to_float))
-    elif kind == "random":
-        init = InitConfig(kind="random", p0=p0)
-    elif kind == "file":
-        init = InitConfig(kind="file", p0=p0, path=sec.take("path", _existing_path))
-    else:
-        raise ConfigError(f"init kind must be fs, random or file, got {kind!r}")
-    sec.finish()
-    return init
+def _keys(section: str, kind) -> tuple[str, ...]:
+    if section not in _KINDS:
+        return tuple(_KEYS[section])
+    if kind not in _KINDS[section]:
+        raise ConfigError(
+            f"[{section}] kind must be one of {', '.join(_KINDS[section])}, got {kind!r}"
+        )
+    return _KINDS[section][kind]
 
 
-def _grid_from_section(sec: _Section) -> tuple[float, ...]:
-    explicit = sec.take("grid", _to_float_list, required=False)
-    start = sec.take("grid_start", _to_float, required=False)
-    stop = sec.take("grid_stop", _to_float, required=False)
-    step = sec.take("grid_step", _to_float, required=False)
-    ranged = [v is not None for v in (start, stop, step)]
-    if explicit is not None and any(ranged):
+def _grid_range(data: dict[str, str]) -> dict:
+    """``grid`` from the parse-only grid_start/grid_stop/grid_step keys, if given."""
+    given = {k: data.pop(k) for k in ("grid_start", "grid_stop", "grid_step") if k in data}
+    if not given:
+        return {}
+    if "grid" in data:
         raise ConfigError("give either grid or grid_start/grid_stop/grid_step, not both")
-    if explicit is not None:
-        return explicit
-    if not all(ranged):
+    if len(given) < 3:
         raise ConfigError("sweep grid needs grid=... or all of grid_start/grid_stop/grid_step")
+    start, stop, step = (_convert("sweep", k, _to_float, raw) for k, raw in given.items())
     if step <= 0:
         raise ConfigError(f"grid_step must be positive, got {step}")
     if stop < start:
         raise ConfigError("grid_stop must not be below grid_start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    return {"grid": tuple(start + i * step for i in range(count))}
+
+
+def _take(section: str, key: str, data: dict[str, str]):
+    conv, _, default = _KEYS[section][key]
+    if key in data:
+        return _convert(section, key, conv, data.pop(key))
+    if default is _REQUIRED:
+        raise ConfigError(f"section [{section}] is missing key {key!r}")
+    return default
+
+
+def _read(sections: dict[str, dict[str, str]], section: str) -> dict:
+    """Section ``section`` converted by the key table, keyed by field name."""
+    if section not in sections:
+        raise ConfigError(f"missing section [{section}]")
+    data = dict(sections[section])
+    values = _grid_range(data) if section == "sweep" else {}
+    if section in _KINDS:
+        values["kind"] = _take(section, "kind", data)
+    for key in _keys(section, values.get("kind")):
+        if key not in values:
+            values[_FIELDS.get(key, key)] = _take(section, key, data)
+    if data:
+        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(data))}")
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config document."""
     sections = _parse_sections(text)
+    run = _read(sections, "run")
+    graph = GraphSpec(**_read(sections, "graph"))
+    values = _read(sections, "params")
+    try:
+        params = ModelParams(**values)
+    except ValueError as exc:
+        raise ConfigError(f"section [params]: {exc}") from None
+    init = InitConfig(**_read(sections, "init"))
 
-    known = {"run", "graph", "params", "init"}
-    run = _Section("run", sections.get("run", {}))
-    if "run" not in sections:
-        raise ConfigError("missing section [run]")
-    command = run.take("command", str)
-    if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
-    out = run.take("out", str)
-    seed = run.take("seed", _to_int, required=False, default=0)
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {seed}")
-    threads = run.take("threads", _to_int, required=False, default=1)
-    if threads < 1:
-        raise ConfigError(f"threads must be positive, got {threads}")
-    run.finish()
-
-    for name in ("graph", "params", "init"):
-        if name not in sections:
-            raise ConfigError(f"missing section [{name}]")
-    graph = _parse_graph(_Section("graph", sections["graph"]))
-    params = _parse_params(_Section("params", sections["params"]))
-    init = _parse_init(_Section("init", sections["init"]))
-
+    command = run["command"]
     if command in ("sweep", "gallery") and init.kind == "file":
         raise ConfigError(f"command {command!r} needs init kind fs or random")
-
-    cfg = RunConfig(
-        command=command, graph=graph, params=params, init=init,
-        out=out, seed=seed, threads=threads,
-    )
-
-    cmd_section = {"simulate": "simulate", "clusters": "simulate"}.get(command, command)
-    known.add(cmd_section)
-    unknown_sections = set(sections) - known
+    section = _COMMAND_SECTION[command]
+    unknown_sections = set(sections) - {"run", "graph", "params", "init", section}
     if unknown_sections:
         names = ", ".join(f"[{s}]" for s in sorted(unknown_sections))
         raise ConfigError(f"section(s) {names} are not used by command {command!r}")
-    if cmd_section not in sections:
-        raise ConfigError(f"command {command!r} needs section [{cmd_section}]")
-    sec = _Section(cmd_section, sections[cmd_section])
-
-    if command in ("simulate", "clusters"):
-        steps = sec.take("steps", _to_int)
-        stride = sec.take("stride", _to_int, required=False, default=1)
-        if steps < 0:
-            raise ConfigError(f"steps must be nonnegative, got {steps}")
-        if stride < 1:
-            raise ConfigError(f"stride must be positive, got {stride}")
-        cfg = replace(cfg, steps=steps, stride=stride)
-    elif command == "sweep":
-        sweep_param = sec.take("param", str)
-        if sweep_param not in ("beta", "gamma", "p_bar"):
-            raise ConfigError(
-                f"sweep param must be beta, gamma or p_bar, got {sweep_param!r}"
-            )
-        grid = _grid_from_section(sec)
-        cfg = replace(cfg, sweep_param=sweep_param, grid=grid,
-                      **_tail_fields(sec))
-    elif command == "gallery":
-        betas = sec.take("betas", _to_float_list)
-        cfg = replace(cfg, betas=betas, **_tail_fields(sec))
-    elif command == "classify":
-        cfg = replace(cfg, **_tail_fields(sec))
-    sec.finish()
-    return cfg
-
-
-def _tail_fields(sec: _Section) -> dict:
-    transient = sec.take("transient", _to_int)
-    tail = sec.take("tail", _to_int)
-    tol = sec.take("tol", _to_float, required=False, default=DEFAULT_TOL)
-    max_period = sec.take("max_period", _to_int, required=False, default=DEFAULT_MAX_PERIOD)
-    if transient < 0:
-        raise ConfigError(f"transient must be nonnegative, got {transient}")
-    if tail < 1:
-        raise ConfigError(f"tail must be positive, got {tail}")
-    if max_period < 1:
-        raise ConfigError(f"max_period must be positive, got {max_period}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    return {"transient": transient, "tail": tail, "tol": tol, "max_period": max_period}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    if section not in sections:
+        raise ConfigError(f"command {command!r} needs section [{section}]")
+    return RunConfig(graph=graph, params=params, init=init, **run, **_read(sections, section))
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical document for ``cfg``; ``parse_config`` inverts it exactly."""
-    lines = [
-        "[run]",
-        f"command = {cfg.command}",
-        f"out = {cfg.out}",
-        f"seed = {cfg.seed}",
-        f"threads = {cfg.threads}",
-        "",
-        "[graph]",
-        f"kind = {cfg.graph.kind}",
-    ]
-    if cfg.graph.kind == "complete":
-        lines.append(f"n = {cfg.graph.n}")
-    elif cfg.graph.kind == "lattice":
-        lines.append(f"side = {cfg.graph.side}")
-    elif cfg.graph.kind == "random":
-        lines += [
-            f"n = {cfg.graph.n}",
-            f"edge_prob = {_fmt(cfg.graph.edge_prob)}",
-            f"seed = {cfg.graph.seed}",
-        ]
-    elif cfg.graph.kind == "edgelist":
-        lines.append(f"path = {cfg.graph.path}")
-    lines += [
-        "",
-        "[params]",
-        f"beta = {_fmt(cfg.params.beta)}",
-        f"gamma = {_fmt(cfg.params.gamma)}",
-        f"e_min = {_fmt(cfg.params.e_min)}",
-        f"e_max = {_fmt(cfg.params.e_max)}",
-        f"p_bar = {_fmt(cfg.params.p_bar)}",
-        "",
-        "[init]",
-        f"kind = {cfg.init.kind}",
-        f"p0 = {_fmt(cfg.init.p0)}",
-    ]
-    if cfg.init.kind == "fs":
-        lines.append(f"theta0 = {_fmt(cfg.init.theta0)}")
-    elif cfg.init.kind == "file":
-        lines.append(f"path = {cfg.init.path}")
-
-    if cfg.command in ("simulate", "clusters"):
-        lines += [
-            "",
-            "[simulate]",
-            f"steps = {cfg.steps}",
-            f"stride = {cfg.stride}",
-        ]
-    elif cfg.command == "sweep":
-        lines += [
-            "",
-            "[sweep]",
-            f"param = {cfg.sweep_param}",
-            "grid = " + ",".join(_fmt(v) for v in cfg.grid),
-        ]
-        lines += _render_tail(cfg)
-    elif cfg.command == "gallery":
-        lines += [
-            "",
-            "[gallery]",
-            "betas = " + ",".join(_fmt(v) for v in cfg.betas),
-        ]
-        lines += _render_tail(cfg)
-    elif cfg.command == "classify":
-        lines += ["", "[classify]"]
-        lines += _render_tail(cfg)
-    return "\n".join(lines) + "\n"
-
-
-def _render_tail(cfg: RunConfig) -> list[str]:
-    return [
-        f"transient = {cfg.transient}",
-        f"tail = {cfg.tail}",
-        f"tol = {_fmt(cfg.tol)}",
-        f"max_period = {cfg.max_period}",
-    ]
+    if cfg.command not in COMMANDS:
+        raise ConfigError(f"command must be one of {', '.join(COMMANDS)}, got {cfg.command!r}")
+    blocks = []
+    for section, obj in (("run", cfg), ("graph", cfg.graph), ("params", cfg.params),
+                         ("init", cfg.init), (_COMMAND_SECTION[cfg.command], cfg)):
+        lines = [f"[{section}]"]
+        for key in _keys(section, getattr(obj, "kind", None)):
+            render = _KEYS[section][key][1]
+            value = _convert(section, key, render, getattr(obj, _FIELDS.get(key, key)))
+            lines.append(f"{key} = {value}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

@@ -206,6 +206,16 @@ def read_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
+# Graph kind -> (generator, the GraphSpec fields it takes in argument order).
+# The [graph] section of a config document takes the same fields as keys.
+_GRAPH_KINDS = {
+    "complete": (complete_graph, ("n",)),
+    "lattice": (square_lattice, ("side",)),
+    "random": (random_graph, ("n", "edge_prob", "seed")),
+    "edgelist": (read_edge_list, ("path",)),
+}
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Serializable recipe for building a graph (generator name + arguments)."""
@@ -218,20 +228,10 @@ class GraphSpec:
     path: str | None = None
 
     def build(self) -> Graph:
-        if self.kind == "complete":
-            if self.n is None:
-                raise ValueError("complete graph spec needs n")
-            return complete_graph(self.n)
-        if self.kind == "lattice":
-            if self.side is None:
-                raise ValueError("lattice graph spec needs side")
-            return square_lattice(self.side)
-        if self.kind == "random":
-            if self.n is None or self.edge_prob is None or self.seed is None:
-                raise ValueError("random graph spec needs n, edge_prob and seed")
-            return random_graph(self.n, self.edge_prob, self.seed)
-        if self.kind == "edgelist":
-            if self.path is None:
-                raise ValueError("edgelist graph spec needs path")
-            return read_edge_list(self.path)
-        raise ValueError(f"unknown graph kind {self.kind!r}")
+        if self.kind not in _GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+        generator, fields = _GRAPH_KINDS[self.kind]
+        args = [getattr(self, f) for f in fields]
+        if any(a is None for a in args):
+            raise ValueError(f"{self.kind} graph spec needs {', '.join(fields)}")
+        return generator(*args)

@@ -15,6 +15,7 @@ Python; ``count_nonzero(axis=...)``: 6.9 us against 2.3 us).
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -81,6 +82,8 @@ class SweepSpec:
             raise ValueError(f"transient must be nonnegative, got {self.transient}")
         if self.tail < 1:
             raise ValueError(f"tail must be positive, got {self.tail}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base_params, **{self.swept_param: value})

@@ -362,6 +362,12 @@ class TestClassifyAttractor:
         with pytest.raises(InsufficientDataError):
             classify_attractor(tail, tol=1e-9, max_period=16)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        thetas = np.full((40, 2), 0.3)
+        with pytest.raises(ValueError, match="tol"):
+            classify_states(thetas, np.full(40, 5.0), tol=tol, max_period=16)
+
     def test_agrees_with_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         tol = 1e-9

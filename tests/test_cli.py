@@ -224,6 +224,20 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--seed", "-1", "seed"),
+        ("--seed", str(2 ** 64), "seed"),
+        ("--threads", "0", "threads"),
+        ("--out", "o#1", "out"),
+    ])
+    def test_bad_override_exits_one_naming_key(self, tmp_path, capsys, monkeypatch,
+                                               flag, value, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, SIMULATE_BLOCK, tmp_path / "o")
+        assert main(["--config", str(cfg), flag, value]) == 1
+        assert f"'{key}' in [run]" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*/manifest.txt"))
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.txt")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from codapol.config import ConfigError, InitConfig, parse_config, render_config
+from codapol.config import COMMANDS, ConfigError, InitConfig, RunConfig, parse_config, render_config
 from codapol.dynamics import ModelParams
 from codapol.graph import GraphSpec
 
@@ -136,6 +138,27 @@ class TestParse:
         cfg = parse_config(text.replace("missing.txt", str(opfile)))
         assert cfg.init.kind == "file"
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("seed = 7", "seed = 18446744073709551616", "seed"),
+        ("seed = 7", "seed = 7\nthreads = 0", "threads"),
+        ("steps = 500", "steps = -1", "steps"),
+        ("stride = 1", "stride = 0", "stride"),
+    ])
+    def test_bounds_name_the_key(self, old, new, key):
+        with pytest.raises(ConfigError, match=f"'{key}' in"):
+            parse_config(SIM_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize("key,value", [
+        ("transient", "-1"), ("tail", "0"), ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan"),
+        ("max_period", "0"),
+    ])
+    def test_tail_bounds_name_the_key(self, key, value):
+        keys = {"transient": "10000", "tail": "1024", key: value}
+        text = sweep_text("grid = 0.6").replace(
+            "transient = 10000\ntail = 1024\n", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with pytest.raises(ConfigError, match=f"'{key}' in"):
+            parse_config(text)
+
     def test_sweep_rejects_file_init(self, tmp_path):
         opfile = tmp_path / "ops.txt"
         opfile.write_text("0.5\n" * 20)
@@ -218,3 +241,65 @@ class TestRoundTrip:
         cfg = parse_config(SIM_TEXT)
         once = render_config(cfg)
         assert render_config(parse_config(once)) == once
+
+
+GRAPHS = {
+    "complete": GraphSpec(kind="complete", n=20),
+    "lattice": GraphSpec(kind="lattice", side=5),
+    "random": GraphSpec(kind="random", n=30, edge_prob=0.125, seed=11),
+    "edgelist": GraphSpec(kind="edgelist", path="edges.txt"),
+}
+INITS = {
+    "fs": InitConfig(kind="fs", p0=100.0, theta0=0.4),
+    "random": InitConfig(kind="random", p0=1.5),
+    "file": InitConfig(kind="file", p0=3.0, path="ops.txt"),
+}
+COMMAND_FIELDS = {
+    "simulate": dict(steps=500, stride=3),
+    "clusters": dict(steps=0, stride=1),
+    "sweep": dict(sweep_param="p_bar", grid=(1.0, 2.5, 30.0), transient=10, tail=64,
+                  tol=1e-7, max_period=32),
+    "gallery": dict(betas=(0.45, 0.7, 0.999), transient=0, tail=1, max_period=1),
+    "classify": dict(transient=1000, tail=512),
+}
+ALLOWED = [(command, graph, init) for command in COMMANDS for graph in GRAPHS for init in INITS
+           if not (command in ("sweep", "gallery") and init == "file")]
+
+
+class TestRoundTripEveryVariant:
+    """Every command x graph kind x init kind the parser accepts survives a manifest."""
+
+    def test_cases_cover_every_command(self):
+        assert set(COMMAND_FIELDS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command,graph,init", ALLOWED)
+    def test_round_trip(self, tmp_path, monkeypatch, command, graph, init):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text("N 2 directed=0\n0 1\n")
+        (tmp_path / "ops.txt").write_text("0.5\n-0.5\n")
+        params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        cfg = RunConfig(command=command, graph=GRAPHS[graph], params=params,
+                        init=INITS[init], out="runs/x", seed=2 ** 64 - 1, threads=2,
+                        **COMMAND_FIELDS[command])
+        text = render_config(cfg)
+        assert parse_config(text) == cfg
+        assert render_config(parse_config(text)) == text
+
+
+class TestRenderRejectsValuesThatCannotRoundTrip:
+    @pytest.mark.parametrize("out", ["runs/#1", "runs/a\nb", "runs/a\rb", " runs/a",
+                                     "runs/a ", "runs/a\t"])
+    def test_out(self, out):
+        cfg = replace(parse_config(SIM_TEXT), out=out)
+        with pytest.raises(ConfigError, match=r"'out' in \[run\]"):
+            render_config(cfg)
+
+    def test_path(self):
+        cfg = replace(parse_config(SIM_TEXT), init=InitConfig(kind="file", p0=1.0, path="a#b"))
+        with pytest.raises(ConfigError, match=r"'path' in \[init\]"):
+            render_config(cfg)
+
+    def test_unknown_graph_kind(self):
+        cfg = replace(parse_config(SIM_TEXT), graph=GraphSpec(kind="ring", n=4))
+        with pytest.raises(ConfigError, match=r"\[graph\] kind"):
+            render_config(cfg)

@@ -60,6 +60,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="gamma"):
             fs_spec([0.5, 1.0], swept_param="gamma")
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            fs_spec([0.3], tol=tol)
+
     def test_fs_requires_complete_graph(self):
         spec = fs_spec([0.45], graph_spec=GraphSpec(kind="lattice", side=4))
         with pytest.raises(ValueError, match="complete"):
