@@ -260,6 +260,12 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-
     Scans candidate periods in increasing order, so a reported cycle period
     is minimal.  Period 1 (all consecutive states within ``tol`` in max
     norm) is a fixed point; no match up to ``max_period`` is aperiodic.
+
+    A period m can match only if the last state is within ``tol`` of the
+    state m ticks earlier, so that gap is computed for every m in one
+    vectorized step and the full-tail check runs only on the m that pass
+    (cycle detection as in Brent, BIT 20, 1980).  The result is the same
+    as checking every m; a NaN gap fails, as a NaN full check does.
     """
     if max_period < 1:
         raise ValueError(f"max_period must be positive, got {max_period}")
@@ -274,7 +280,9 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-
             f"need at least {2 * max_period}"
         )
     states = np.column_stack([thetas, pollutions])
-    for m in range(1, max_period + 1):
+    earlier = states[n_tail - 1 - max_period:n_tail - 1][::-1]
+    gaps = np.max(np.abs(states[-1] - earlier), axis=1)
+    for m in (np.flatnonzero(gaps < tol) + 1).tolist():
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
                 return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))

@@ -28,7 +28,7 @@ from codapol.analysis import (
 from codapol.dynamics import ModelParams, fs_initial_state, initial_state, random_opinions, simulate
 from codapol.graph import complete_graph, random_graph, square_lattice
 
-from helpers import brute_force_period, fs_flip_time
+from helpers import attractor_bytes, brute_force_period, classify_unfiltered, fs_flip_time
 
 BASE = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
 
@@ -396,6 +396,119 @@ class TestClassifyAttractor:
         out = classify_attractor([a, b, c] * 12, tol=1e-9, max_period=8)
         assert out.period == 3
         assert [s[1] for s in out.cycle_samples] == [1.0, 2.0, 3.0]
+
+
+def _recurring_last_state(rng):
+    # the last state equals the one 5 ticks earlier, no other pair matches
+    states = rng.uniform(-1, 1, size=(64, 3))
+    states[-1] = states[-6]
+    return states, 2.0**-30, 16
+
+
+def _false_return_inside_cycle(rng):
+    # period 6, with the last state also equal to the one 3 ticks earlier
+    base = rng.uniform(-1, 1, size=(6, 3))
+    base[3] = base[0]
+    states = np.tile(base, (11, 1))[:64]
+    assert (len(states) - 1) % 6 == 3
+    return states, 2.0**-30, 16
+
+
+def _gap_equal_to_tol(rng):
+    # exact alternation; the last state is off by exactly tol (strict < fails)
+    tol = 2.0**-20
+    states = np.tile([[0.25, 0.5, 3.0], [0.75, -0.5, 4.0]], (20, 1))
+    states[-1, 0] += tol
+    return states, tol, 16
+
+
+def _gap_just_below_tol(rng):
+    tol = 2.0**-20
+    states = np.tile([[0.25, 0.5, 3.0], [0.75, -0.5, 4.0]], (20, 1))
+    states[-1, 0] = np.nextafter(states[-1, 0] + tol, 0.0)
+    return states, tol, 16
+
+
+def _nan_in_last_row(rng):
+    states = np.tile([[0.25, 0.5, 3.0], [0.75, -0.5, 4.0]], (20, 1))
+    states[-1, 1] = math.nan
+    return states, 1e-9, 16
+
+
+def _nan_in_earlier_row(rng):
+    states = np.tile([[0.25, 0.5, 3.0], [0.75, -0.5, 4.0]], (20, 1))
+    states[7, 2] = math.nan
+    return states, 1e-9, 16
+
+
+def _nan_at_candidate_row(rng):
+    # NaN exactly m=2 ticks before the last state: the period-2 gap is NaN
+    states = np.tile([[0.25, 0.5, 3.0], [0.75, -0.5, 4.0]], (20, 1))
+    states[-3, 0] = math.nan
+    return states, 1e-9, 16
+
+
+def _tail_of_twice_max_period(rng):
+    # n_tail == 2 max_period, planted period max_period
+    return planted_sequence(rng, 8, 16, 3, noise=1e-10), 1e-9, 8
+
+
+def _fixed_point_in_twice_max_period(rng):
+    return np.full((16, 2), 0.125), 1e-9, 8
+
+
+ADVERSARIAL_TAILS = [
+    _recurring_last_state, _false_return_inside_cycle, _gap_equal_to_tol,
+    _gap_just_below_tol, _nan_in_last_row, _nan_in_earlier_row,
+    _nan_at_candidate_row, _tail_of_twice_max_period, _fixed_point_in_twice_max_period,
+]
+
+
+class TestPeriodPrefilter:
+    """classify_states must equal the unfiltered scan it shortcuts."""
+
+    @staticmethod
+    def assert_matches_unfiltered(states, tol, max_period):
+        got = classify_states(states[:, :-1], states[:, -1], tol=tol, max_period=max_period)
+        want = classify_unfiltered(states[:, :-1], states[:, -1], tol, max_period)
+        assert attractor_bytes(got) == attractor_bytes(want)
+        return got
+
+    @pytest.mark.parametrize("make", ADVERSARIAL_TAILS, ids=lambda f: f.__name__.strip("_"))
+    def test_adversarial_tail(self, make):
+        states, tol, max_period = make(np.random.default_rng(11))
+        self.assert_matches_unfiltered(states, tol, max_period)
+
+    def test_adversarial_outcomes(self):
+        # the cases above exercise the paths they are named for
+        rng = np.random.default_rng(11)
+        kinds = {}
+        for make in ADVERSARIAL_TAILS:
+            states, tol, max_period = make(rng)
+            att = classify_states(states[:, :-1], states[:, -1], tol=tol, max_period=max_period)
+            kinds[make.__name__] = (att.kind, getattr(att, "period", None))
+        assert kinds["_recurring_last_state"] == ("aperiodic", None)
+        assert kinds["_false_return_inside_cycle"] == ("cycle", 6)
+        assert kinds["_gap_equal_to_tol"] == ("aperiodic", None)
+        assert kinds["_gap_just_below_tol"] == ("cycle", 2)
+        assert kinds["_nan_in_last_row"] == ("aperiodic", None)
+        assert kinds["_nan_in_earlier_row"] == ("aperiodic", None)
+        assert kinds["_nan_at_candidate_row"] == ("aperiodic", None)
+        assert kinds["_tail_of_twice_max_period"] == ("cycle", 8)
+        assert kinds["_fixed_point_in_twice_max_period"] == ("fixed", None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), period=st.integers(1, 12),
+           noise_over_tol=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]),
+           extra=st.integers(0, 20), dim=st.integers(1, 4))
+    def test_planted_tails_near_tol(self, seed, period, noise_over_tol, extra, dim):
+        # noise around tol makes some candidate periods pass the last-state
+        # gap and fail the full check, in either order
+        rng = np.random.default_rng(seed)
+        tol, max_period = 1e-6, 12
+        states = planted_sequence(rng, period, 2 * max_period + extra, dim + 1,
+                                  noise=noise_over_tol * tol / 2)
+        self.assert_matches_unfiltered(states, tol, max_period)
 
 
 class TestCsvExports:

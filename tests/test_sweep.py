@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codapol.analysis import FixedPoint, LimitCycle
+from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, classify_states
 from codapol.dynamics import (
     ModelParams,
     fs_initial_state,
@@ -14,9 +16,11 @@ from codapol.dynamics import (
 )
 from codapol.graph import GraphSpec
 from codapol.sweep import (
+    SWEEPABLE,
     FSInit,
     RandomInit,
     SweepError,
+    SweepRow,
     SweepSpec,
     attractor_gallery,
     run_sweep,
@@ -24,7 +28,7 @@ from codapol.sweep import (
     write_gallery_csv,
 )
 
-from helpers import brute_force_period
+from helpers import attractor_bytes, brute_force_period, write_bifurcation_csv_per_row
 
 BASE = ModelParams(beta=0.5, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
 COMPLETE_20 = GraphSpec(kind="complete", n=20)
@@ -69,6 +73,30 @@ class TestSweepSpecValidation:
         spec = fs_spec([0.45], graph_spec=GraphSpec(kind="lattice", side=4))
         with pytest.raises(ValueError, match="complete"):
             run_sweep(spec)
+
+
+class TestInitSpecs:
+    @pytest.mark.parametrize("theta0, p0", [
+        (math.nan, 100.0), (math.inf, 100.0), (0.4, math.nan), (0.4, -math.inf),
+    ], ids=["theta0-nan", "theta0-inf", "p0-nan", "p0--inf"])
+    def test_fs_init_rejects_non_finite(self, theta0, p0):
+        name = "theta0" if not math.isfinite(theta0) else "p0"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FSInit(theta0=theta0, p0=p0)
+
+    @pytest.mark.parametrize("p0", [math.nan, math.inf, -math.inf])
+    def test_random_init_rejects_non_finite_p0(self, p0):
+        with pytest.raises(ValueError, match="p0 must be finite"):
+            RandomInit(seed=9, p0=p0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_random_init_rejects_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RandomInit(seed=seed, p0=100.0)
+
+    def test_random_init_accepts_seed_range_ends(self):
+        assert RandomInit(seed=0, p0=100.0).seed == 0
+        assert RandomInit(seed=2**64 - 1, p0=100.0).seed == 2**64 - 1
 
 
 class TestRunSweep:
@@ -136,7 +164,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("graph_spec", [
         GraphSpec(kind="lattice", side=4),
         GraphSpec(kind="random", n=16, edge_prob=0.4, seed=3),
-    ], ids=["lattice", "random"])
+        GraphSpec(kind="complete", n=12),
+    ], ids=["lattice", "random", "complete"])
     def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec):
         spec = fs_spec([0.3, 0.6, 0.95], transient=200, tail=260, max_period=128,
                        initial=RandomInit(seed=9, p0=100.0), graph_spec=graph_spec)
@@ -154,11 +183,11 @@ class TestRunSweep:
             assert np.array_equal(row.p_samples, traj.pollution[spec.transient + 1:])
 
     @pytest.mark.parametrize("initial, match", [
-        (FSInit(theta0=math.nan, p0=100.0), "agent 0"),
-        (FSInit(theta0=0.4, p0=math.nan), "finite"),
-        (RandomInit(seed=9, p0=math.inf), "finite"),
+        (FSInit(theta0=1.0, p0=100.0), "agent 0"),
+        (FSInit(theta0=0.4, p0=15.0), "threshold"),
+        (RandomInit(seed=9, p0=15.0), "threshold"),
     ])
-    def test_non_finite_initial_rejected(self, initial, match):
+    def test_invalid_initial_rejected(self, initial, match):
         spec = fs_spec([0.45, 0.999], initial=initial)
         with pytest.raises(ValueError, match=match):
             run_sweep(spec)
@@ -207,6 +236,70 @@ class TestRunSweep:
         assert row.opinion_samples[-1] > 0.999  # heading to the boundary
         diffs = np.diff(row.opinion_samples)
         assert np.all(diffs >= 0)  # monotone crawl, not oscillation
+
+
+def assert_rows_match_full_runs(spec, threads):
+    """Every FS sweep row equals simulate + classify_states on all N agents, bitwise."""
+    rows = run_sweep(spec, threads=threads)
+    assert [row.param_value for row in rows] == list(spec.grid)
+    graph = spec.graph_spec.build()
+    for row in rows:
+        params = spec.params_at(row.param_value)
+        s0 = fs_initial_state(spec.initial.theta0, graph.n_agents, spec.initial.p0, params)
+        traj = simulate(s0, graph, params, spec.transient + spec.tail, stride=1)
+        tail_theta = traj.opinions[spec.transient + 1:]
+        tail_p = traj.pollution[spec.transient + 1:]
+        assert row.opinion_samples.tobytes() == tail_theta[:, 0].tobytes()
+        assert row.p_samples.tobytes() == tail_p.tobytes()
+        want = classify_states(tail_theta, tail_p, tol=spec.tol, max_period=spec.max_period)
+        assert attractor_bytes(row.attractor) == attractor_bytes(want)
+    return rows
+
+
+SWEPT_VALUES = {
+    "beta": st.floats(0.0, 1.0),
+    "gamma": st.floats(0.01, 0.99),
+    "p_bar": st.floats(1.0, 99.0),
+}
+
+
+class TestFsQuotient:
+    """The one-column FS sweep equals the full N-agent state, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_fs_sweeps(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        swept = data.draw(st.sampled_from(SWEEPABLE), label="swept")
+        grid = sorted(set(data.draw(
+            st.lists(SWEPT_VALUES[swept], min_size=1, max_size=4), label="grid")))
+        theta0 = data.draw(st.sampled_from([0.4, -0.999999, 1e-300]), label="theta0")
+        transient = data.draw(st.integers(0, 300), label="transient")
+        threads = data.draw(st.sampled_from([1, 2]), label="threads")
+        spec = fs_spec(grid, swept_param=swept, transient=transient, tail=40,
+                       max_period=16, initial=FSInit(theta0=theta0, p0=100.0),
+                       graph_spec=GraphSpec(kind="complete", n=n))
+        assert_rows_match_full_runs(spec, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_threshold_tie_grid(self, threads):
+        # at p_bar = 40 the pollution lands exactly on the threshold at tick 54
+        spec = fs_spec([38.0, 40.0, 42.0], swept_param="p_bar",
+                       base_params=ModelParams(0.45, 0.5, 0.0, 1.0, 15.0),
+                       transient=100, tail=256, max_period=128)
+        params = spec.params_at(40.0)
+        traj = simulate(fs_initial_state(0.4, 20, 100.0, params), COMPLETE_20.build(),
+                        params, 60)
+        assert traj.pollution[54] == 40.0
+        rows = assert_rows_match_full_runs(spec, threads)
+        assert rows[1].attractor.kind == "fixed"
+
+    @pytest.mark.parametrize("theta0", [0.4, -0.999999, 1e-300])
+    def test_mixed_regimes(self, theta0):
+        spec = fs_spec([0.3, 0.52, 0.999], transient=2000, tail=256, max_period=128,
+                       initial=FSInit(theta0=theta0, p0=100.0))
+        rows = assert_rows_match_full_runs(spec, threads=2)
+        assert {row.attractor.kind for row in rows} == {"fixed", "cycle", "aperiodic"}
 
 
 class TestAttractorGallery:
@@ -285,3 +378,39 @@ class TestSweepCsv:
         assert len(records) == 300 + 260 + 1
         assert records[0]["class"] == "fixed"
         assert int(records[-1]["tick"]) == 560
+
+    @pytest.mark.parametrize("fs", [True, False], ids=["fs", "mean"])
+    def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, fs):
+        if fs:
+            spec = fs_spec([0.45, 0.52, 0.999], transient=300, tail=256, max_period=128)
+        else:
+            spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256, max_period=128,
+                           initial=RandomInit(seed=9, p0=100.0),
+                           graph_spec=GraphSpec(kind="lattice", side=4))
+        rows = run_sweep(spec)
+        assert {row.is_fs for row in rows} == {fs}
+        write_bifurcation_csv(rows, tmp_path / "bulk.csv")
+        write_bifurcation_csv_per_row(rows, tmp_path / "per_row.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+    def test_bifurcation_bytes_on_special_values(self, tmp_path):
+        special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+        state = (np.array([0.5, -0.0]), 1.0)
+        attractors = [
+            FixedPoint(theta_star=state[0], p_star=state[1]),
+            LimitCycle(period=3, cycle_samples=(state,) * 3),
+            Aperiodic(samples=(state,)),
+        ]
+        rows = []
+        for i, attractor in enumerate(attractors):
+            for value in (-0.0, 5e-324, 1e308 * (i + 1)):
+                rows.append(SweepRow(value, attractor, np.roll(special, i), special[::-1]))
+                stacked = np.column_stack([special[::-1], np.roll(special, i), special])
+                rows.append(SweepRow(value, attractor, stacked, np.roll(special, -i)))
+        assert {row.is_fs for row in rows} == {True, False}
+        write_bifurcation_csv(rows, tmp_path / "bulk.csv")
+        write_bifurcation_csv_per_row(rows, tmp_path / "per_row.csv")
+        text = (tmp_path / "bulk.csv").read_text()
+        assert text == (tmp_path / "per_row.csv").read_text()
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308"):
+            assert f",{token}," in text or f",{token}\n" in text
