@@ -6,14 +6,13 @@ concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ModelParams, Trajectory
+from .dynamics import ModelParams, Trajectory, _write_csv
 from .graph import Graph
 
 
@@ -215,6 +214,10 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
     """
     if trajectory.n_snapshots < 1:
         raise ValueError("trajectory has no snapshots")
+    if graph.n_agents != trajectory.n_agents:
+        raise ValueError(
+            f"graph has {graph.n_agents} agents, trajectory has {trajectory.n_agents}"
+        )
     acts = trajectory.actions
     constant = [i for i in range(trajectory.n_agents) if np.all(acts[:, i] == acts[0, i])]
     if not constant:
@@ -310,18 +313,11 @@ def classify_attractor(trajectory_tail: Sequence, tol: float = 1e-9,
 
 def write_cluster_csv(reports: Sequence[ClusterReport], path) -> None:
     """Export cluster certificates: cluster_id,size,action,weak,strong,worst_slack."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id", "size", "action", "weak", "strong", "worst_slack"])
-        for cid, rep in enumerate(reports):
-            writer.writerow([
-                cid,
-                rep.size,
-                rep.action,
-                int(rep.weakly_robust),
-                int(rep.strongly_robust),
-                f"{rep.worst_strong_slack:.17g}",
-            ])
+    _write_csv(path, "cluster_id,size,action,weak,strong,worst_slack", "%d,%d,%d,%d,%d,%.17g", (
+        (cid, rep.size, rep.action, rep.weakly_robust, rep.strongly_robust,
+         rep.worst_strong_slack)
+        for cid, rep in enumerate(reports)
+    ))
 
 
 def write_lattice_grid_csv(trajectory: Trajectory, side: int,
@@ -331,19 +327,9 @@ def write_lattice_grid_csv(trajectory: Trajectory, side: int,
         raise ValueError(
             f"side {side} does not match {trajectory.n_agents} agents"
         )
-    strong_members: set[int] = set()
-    for rep in reports:
-        if rep.strongly_robust:
-            strong_members.update(rep.members)
-    theta_final = trajectory.opinions[-1]
-    action_final = trajectory.actions[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col", "theta_final", "action_final", "in_strong_cluster"])
-        for r in range(side):
-            for c in range(side):
-                i = r * side + c
-                writer.writerow([
-                    r, c, f"{theta_final[i]:.17g}", int(action_final[i]),
-                    int(i in strong_members),
-                ])
+    strong_members = {i for rep in reports if rep.strongly_robust for i in rep.members}
+    cells = zip(trajectory.opinions[-1].tolist(), trajectory.actions[-1].tolist())
+    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster", "%d,%d,%.17g,%d,%d", (
+        (*divmod(i, side), theta, action, i in strong_members)
+        for i, (theta, action) in enumerate(cells)
+    ))

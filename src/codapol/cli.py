@@ -25,7 +25,7 @@ from .analysis import (
     write_lattice_grid_csv,
 )
 from .config import ConfigError, RunConfig, parse_config, render_config
-from .dynamics import _run, initial_state, simulate
+from .dynamics import _run, _write_csv, initial_state, simulate
 from .sweep import (
     FSInit,
     RandomInit,
@@ -119,8 +119,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
             tail_theta, tail_p, tol=cfg.tol, max_period=cfg.max_period,
         )
         path = out_dir / "classification.csv"
-        period = str(attractor.period) if attractor.kind == "cycle" else ""
-        path.write_text("class,period\n" + f"{attractor.kind},{period}\n")
+        period = attractor.period if attractor.kind == "cycle" else ""
+        _write_csv(path, "class,period", "%s,%s", [(attractor.kind, period)])
         written.append(path)
 
     if not quiet:

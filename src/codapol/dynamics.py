@@ -9,7 +9,6 @@ from tick-k quantities only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,19 +110,26 @@ class Trajectory:
         Header: ``tick,p,q_p,theta_0..theta_{N-1},q_0..q_{N-1}``.
         """
         n = self.n_agents
-        header = (
-            ["tick", "p", "q_p"]
-            + [f"theta_{i}" for i in range(n)]
-            + [f"q_{i}" for i in range(n)]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for s in range(self.n_snapshots):
-                row = [str(int(self.ticks[s])), f"{self.pollution[s]:.17g}", str(int(self.q_p[s]))]
-                row += [f"{x:.17g}" for x in self.opinions[s]]
-                row += [str(int(a)) for a in self.actions[s]]
-                writer.writerow(row)
+        header = ",".join(["tick,p,q_p"] + [f"theta_{i}" for i in range(n)]
+                          + [f"q_{i}" for i in range(n)])
+        _write_csv(path, header, "%d,%.17g,%d" + ",%.17g" * n + ",%d" * n, (
+            (tick, p, q_p, *theta.tolist(), *q.tolist())
+            for tick, p, q_p, theta, q in zip(self.ticks.tolist(), self.pollution.tolist(),
+                                              self.q_p.tolist(), self.opinions, self.actions)
+        ))
+
+
+def _write_csv(path, header: str, fmt: str, rows) -> None:
+    """Write ``header`` and then one ``fmt % row`` line per row to ``path``.
+
+    Every CSV output goes through here, so all share one format: floats as
+    ``%.17g`` (round-trip exact), ``\\n`` line ends and no quoting, which no
+    field needs: each is a number, a class name or a column name.
+    """
+    line = fmt + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def quantize_opinion(theta: float, prev_action: int) -> int:

@@ -177,10 +177,12 @@ def parse_edge_list(text: str) -> Graph:
                     f"line {lineno}: expected header 'N <n> directed=<0|1>', got {raw!r}"
                 )
             n = int(parts[1])
+            if n < 1:
+                raise ValueError(f"line {lineno}: agent count must be at least 1, got {n}")
             flag = parts[2].removeprefix("directed=")
             if flag not in ("0", "1"):
                 raise ValueError(f"line {lineno}: directed flag must be 0 or 1, got {flag!r}")
-            header = (n, flag == "1")
+            header = (lineno, n, flag == "1")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -188,7 +190,13 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((int(parts[0]), int(parts[1])))
     if header is None:
         raise ValueError("edge list has no header line")
-    n, directed = header
+    header_line, n, directed = header
+    # an edge line gives at most two agents a neighbor
+    if n > 2 * len(edges):
+        raise ValueError(
+            f"line {header_line}: {len(edges)} edges leave some of the {n} agents "
+            f"with no neighbors"
+        )
     adj: list[set[int]] = [set() for _ in range(n)]
     for src, dst in edges:
         if not (0 <= src < n and 0 <= dst < n):

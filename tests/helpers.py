@@ -212,6 +212,80 @@ def attractor_bytes(att):
              for v, p in pairs])
 
 
+# Floats every writer oracle is compared on: both infinities, a NaN, a
+# negative zero, the smallest subnormal, a near-overflow value and a
+# value whose shortest repr is shorter than its 17-digit form.
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1)
+
+
+def write_trajectory_csv_per_row(traj, path):
+    """Reference trajectory.csv writer: one csv.writer call per snapshot."""
+    n = traj.n_agents
+    header = (
+        ["tick", "p", "q_p"]
+        + [f"theta_{i}" for i in range(n)]
+        + [f"q_{i}" for i in range(n)]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for s in range(traj.n_snapshots):
+            row = [str(int(traj.ticks[s])), f"{traj.pollution[s]:.17g}", str(int(traj.q_p[s]))]
+            row += [f"{x:.17g}" for x in traj.opinions[s]]
+            row += [str(int(a)) for a in traj.actions[s]]
+            writer.writerow(row)
+
+
+def write_gallery_csv_per_row(entries, path):
+    """Reference gallery.csv writer: one csv.writer call per snapshot."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["beta", "tick", "theta", "p", "class"])
+        for beta, traj, attractor in entries:
+            kind = attractor.kind
+            for s in range(traj.n_snapshots):
+                writer.writerow([
+                    f"{beta:.17g}", int(traj.ticks[s]),
+                    f"{traj.opinions[s, 0]:.17g}", f"{traj.pollution[s]:.17g}", kind,
+                ])
+
+
+def write_cluster_csv_per_row(reports, path):
+    """Reference clusters.csv writer: one csv.writer call per report."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["cluster_id", "size", "action", "weak", "strong", "worst_slack"])
+        for cid, rep in enumerate(reports):
+            writer.writerow([
+                cid,
+                rep.size,
+                rep.action,
+                int(rep.weakly_robust),
+                int(rep.strongly_robust),
+                f"{rep.worst_strong_slack:.17g}",
+            ])
+
+
+def write_lattice_grid_csv_per_row(trajectory, side, reports, path):
+    """Reference grid.csv writer: one csv.writer call per lattice cell."""
+    strong_members = set()
+    for rep in reports:
+        if rep.strongly_robust:
+            strong_members.update(rep.members)
+    theta_final = trajectory.opinions[-1]
+    action_final = trajectory.actions[-1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "col", "theta_final", "action_final", "in_strong_cluster"])
+        for r in range(side):
+            for c in range(side):
+                i = r * side + c
+                writer.writerow([
+                    r, c, f"{theta_final[i]:.17g}", int(action_final[i]),
+                    int(i in strong_members),
+                ])
+
+
 def write_bifurcation_csv_per_row(rows, path):
     """Reference bifurcation.csv writer: one csv.writer call per scatter row."""
     with open(path, "w", newline="") as fh:

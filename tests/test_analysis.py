@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from codapol.analysis import (
     ActionSpacePoint,
     Aperiodic,
+    ClusterReport,
     FixedPoint,
     InsufficientDataError,
     LimitCycle,
@@ -28,7 +30,15 @@ from codapol.analysis import (
 from codapol.dynamics import ModelParams, fs_initial_state, initial_state, random_opinions, simulate
 from codapol.graph import complete_graph, random_graph, square_lattice
 
-from helpers import attractor_bytes, brute_force_period, classify_unfiltered, fs_flip_time
+from helpers import (
+    SPECIAL_FLOATS,
+    attractor_bytes,
+    brute_force_period,
+    classify_unfiltered,
+    fs_flip_time,
+    write_cluster_csv_per_row,
+    write_lattice_grid_csv_per_row,
+)
 
 BASE = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
 
@@ -248,6 +258,14 @@ class TestFindPreservedClusters:
                 if rep.action == -1 and rep.weakly_robust:
                     for i in comp:
                         assert np.all(traj.actions[:, i] == -1)
+
+    @pytest.mark.parametrize("graph", [square_lattice(6), complete_graph(10)],
+                             ids=["larger", "smaller"])
+    def test_graph_size_mismatch_rejected(self, graph):
+        params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        traj = simulate(fs_initial_state(0.4, 20, 100.0, params), complete_graph(20), params, 5)
+        with pytest.raises(ValueError, match="graph has .* agents, trajectory has 20"):
+            find_preserved_clusters(traj, graph, params.beta)
 
 
 class TestFsActionEquilibria:
@@ -548,6 +566,61 @@ class TestCsvExports:
             assert float(theta) == traj.opinions[-1, i]
             assert int(action) == traj.actions[-1, i]
             assert int(strong) == (1 if i in strong_members else 0)
+
+    @staticmethod
+    def split_lattice_run():
+        # left half +0.9, right half -0.9 and one +0.9 island that flips:
+        # the left half is strongly robust, the right half is not
+        side = 6
+        g = square_lattice(side)
+        params = ModelParams(beta=0.2, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        opinions = np.where(np.arange(side * side) % side < side // 2, 0.9, -0.9)
+        opinions[3 * side + 4] = 0.9
+        traj = simulate(initial_state(opinions, 100.0, params), g, params, 3)
+        return g, params, traj
+
+    @pytest.mark.parametrize("case", ["certified", "special", "empty"])
+    def test_cluster_csv_bytes_match_per_row_writer(self, tmp_path, case):
+        reports = []
+        if case == "certified":
+            g = complete_graph(20)
+            mixed = np.array([1, -1] * 10)
+            ones = np.ones(20, dtype=np.int64)
+            reports = [
+                certify_cluster(range(19), g, ones, 0.45),
+                certify_cluster(range(4), g, mixed, 0.45),
+                certify_cluster(range(3), g, ones, 1.0),
+                certify_cluster(range(2), g, ones, 0.45),
+            ]
+            slacks = [rep.worst_strong_slack for rep in reports]
+            assert math.isnan(slacks[1]) and slacks[2] == -math.inf
+            _, params, traj = self.split_lattice_run()
+            reports += find_preserved_clusters(traj, square_lattice(6), params.beta)
+        elif case == "special":
+            reports = [
+                ClusterReport(members=(k,), action=(-1, 0, 1)[k % 3], weakly_robust=k % 2 == 0,
+                              strongly_robust=k % 3 == 0, worst_strong_slack=x)
+                for k, x in enumerate(SPECIAL_FLOATS)
+            ]
+        write_cluster_csv(reports, tmp_path / "bulk.csv")
+        write_cluster_csv_per_row(reports, tmp_path / "per_row.csv")
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "per_row.csv").read_bytes()
+        assert bulk.count(b"\n") == len(reports) + 1
+
+    @pytest.mark.parametrize("case", ["simulated", "special"])
+    def test_grid_csv_bytes_match_per_row_writer(self, tmp_path, case):
+        g, params, traj = self.split_lattice_run()
+        reports = find_preserved_clusters(traj, g, params.beta)
+        if case == "special":
+            final = np.resize(np.array(SPECIAL_FLOATS), traj.n_agents)
+            actions = np.resize(np.array([1, -1], dtype=traj.actions.dtype), traj.n_agents)
+            traj = replace(traj, opinions=np.vstack([traj.opinions[:-1], final]),
+                           actions=np.vstack([traj.actions[:-1], actions]))
+        assert {rep.strongly_robust for rep in reports} == {True, False}
+        write_lattice_grid_csv(traj, 6, reports, tmp_path / "bulk.csv")
+        write_lattice_grid_csv_per_row(traj, 6, reports, tmp_path / "per_row.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
     def test_grid_side_mismatch_rejected(self, tmp_path):
         g = square_lattice(4)

@@ -143,6 +143,17 @@ class TestSweepCommand:
         assert text.startswith("class,period\n")
         assert text.strip().split("\n")[1] == "fixed,"
 
+    def test_classify_cycle_command(self, tmp_path):
+        block = (
+            "classify",
+            "\n[classify]\ntransient = 1500\ntail = 512\nmax_period = 128\n",
+        )
+        out = tmp_path / "out"
+        sections = BASE_SECTIONS.replace("beta = 0.45", "beta = 0.8")
+        cfg = write_config(tmp_path, block, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 0
+        assert (out / "classification.csv").read_bytes() == b"class,period\ncycle,8\n"
+
     def test_classify_tail_runs_through_threshold_tie(self, tmp_path, monkeypatch):
         # With p_bar = 40 the pollution of this FS start decays onto the
         # threshold exactly at tick 54, inside the transient: a run restarted

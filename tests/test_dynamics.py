@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from codapol.dynamics import (
 from codapol.graph import complete_graph, random_graph
 
 from helpers import (
+    SPECIAL_FLOATS,
     count_preservation_violations,
     count_trichotomy_violations,
     is_rounding_event,
+    write_trajectory_csv_per_row,
 )
 
 BASE = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
@@ -475,6 +478,23 @@ class TestTrajectoryCsv:
             for i in range(4):
                 assert float(row[f"theta_{i}"]) == traj.opinions[s, i]
                 assert int(row[f"q_{i}"]) == traj.actions[s, i]
+
+    @pytest.mark.parametrize("case", ["simulated", "special"])
+    def test_bytes_match_per_row_writer(self, tmp_path, case):
+        g, params, s0 = small_random_setup(3, n=len(SPECIAL_FLOATS))
+        traj = simulate(s0, g, params, 20, stride=5)
+        if case == "special":
+            special = np.array(SPECIAL_FLOATS)
+            traj = replace(
+                traj,
+                opinions=np.stack([np.roll(special, k) for k in range(traj.n_snapshots)]),
+                pollution=special[:traj.n_snapshots][::-1].copy(),
+            )
+        traj.write_csv(tmp_path / "bulk.csv")
+        write_trajectory_csv_per_row(traj, tmp_path / "per_row.csv")
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "per_row.csv").read_bytes()
+        assert bulk.count(b"\n") == traj.n_snapshots + 1
 
     def test_state_at_round_trip(self):
         g, params, s0 = small_random_setup(17, n=5)

@@ -179,10 +179,19 @@ class TestEdgeList:
         ("N 2 directed=0\n0 5\n", "out of range"),
         ("N 2 directed=0\n1 1\n", "self-loop"),
         ("", "no header"),
+        ("N -3 directed=0\n0 1\n", "line 1: agent count must be at least 1, got -3"),
+        ("N 0 directed=1\n", "line 1: agent count must be at least 1, got 0"),
+        ("N 100000 directed=0\n0 1\n1 2\n", "line 1: 2 edges leave some of the 100000 agents"),
+        ("N 5 directed=0\n0 1\n2 3\n", "line 1: 2 edges leave some of the 5 agents"),
+        ("N 3 directed=0\n0 1\n1 0\n", "agent 2 has no neighbors"),
     ])
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_edge_list(text)
+
+    def test_agent_count_at_twice_the_edges_accepted(self):
+        g = parse_edge_list("N 4 directed=0\n0 1\n2 3\n")
+        assert g.neighbors == ((1,), (0,), (3,), (2,))
 
     def test_isolated_vertex_rejected(self):
         # agent 2 never appears; the dynamics could not divide by its degree

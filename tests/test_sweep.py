@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from codapol.sweep import (
     write_gallery_csv,
 )
 
-from helpers import attractor_bytes, brute_force_period, write_bifurcation_csv_per_row
+from helpers import (
+    SPECIAL_FLOATS,
+    attractor_bytes,
+    brute_force_period,
+    write_bifurcation_csv_per_row,
+    write_gallery_csv_per_row,
+)
 
 BASE = ModelParams(beta=0.5, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
 COMPLETE_20 = GraphSpec(kind="complete", n=20)
@@ -378,6 +385,27 @@ class TestSweepCsv:
         assert len(records) == 300 + 260 + 1
         assert records[0]["class"] == "fixed"
         assert int(records[-1]["tick"]) == 560
+
+    @pytest.mark.parametrize("case", ["gallery", "special", "empty"])
+    def test_gallery_bytes_match_per_row_writer(self, tmp_path, case):
+        base = fs_spec([0.5], transient=300, tail=256, max_period=128)
+        entries = attractor_gallery([0.45, 0.52, 0.8], base)
+        assert {att.kind for _, _, att in entries} == {"fixed", "cycle", "aperiodic"}
+        if case == "special":
+            special = np.array(SPECIAL_FLOATS)
+            entries = [
+                (beta, replace(traj, ticks=traj.ticks[:len(special)],
+                               opinions=np.column_stack([np.roll(special, k), special]),
+                               pollution=special[::-1].copy()), att)
+                for k, (beta, (_, traj, att)) in enumerate(zip(SPECIAL_FLOATS, entries))
+            ]
+        elif case == "empty":
+            entries = []
+        write_gallery_csv(entries, tmp_path / "bulk.csv")
+        write_gallery_csv_per_row(entries, tmp_path / "per_row.csv")
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "per_row.csv").read_bytes()
+        assert bulk.count(b"\n") == 1 + sum(traj.n_snapshots for _, traj, _ in entries)
 
     @pytest.mark.parametrize("fs", [True, False], ids=["fs", "mean"])
     def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, fs):
