@@ -219,7 +219,7 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
             f"graph has {graph.n_agents} agents, trajectory has {trajectory.n_agents}"
         )
     acts = trajectory.actions
-    constant = [i for i in range(trajectory.n_agents) if np.all(acts[:, i] == acts[0, i])]
+    constant = np.flatnonzero((acts == acts[0]).all(axis=0)).tolist()
     if not constant:
         return []
     components = same_action_components(acts[0], graph, agents=constant)

@@ -183,7 +183,7 @@ def local_fields(actions: np.ndarray, q_p: int, graph: Graph, beta: float) -> np
     +-1 integers, which is exact in any order.
     """
     q = np.asarray(actions, dtype=np.int64)
-    sums = np.add.reduceat(q[graph.flat_neighbors], graph.indptr[:-1])
+    sums = np.add.reduceat(q[graph.indices], graph.indptr[:-1])
     return (1.0 - beta) * (sums / graph.degrees) + beta * q_p
 
 
@@ -219,7 +219,7 @@ def _advance(theta: np.ndarray, q: np.ndarray, p: float, qp: int,
     (the action-count form), which for equal summands matches the
     elementwise emission sum.
     """
-    sums = np.add.reduceat(q[graph.flat_neighbors], graph.indptr[:-1])
+    sums = np.add.reduceat(q[graph.indices], graph.indptr[:-1])
     f = (1.0 - params.beta) * (sums / graph.degrees) + params.beta * qp
     theta_new = theta + (1.0 - theta * theta) * (f - theta)
     n_plus = int(np.count_nonzero(q == 1))

@@ -1,8 +1,9 @@
 """Fixed interaction graphs over which agents exchange actions.
 
-A graph is immutable once built: the dynamics assume a fixed interaction
-structure, and immutability makes graphs safely shareable across
-concurrent simulations.
+A graph is stored once, in compressed sparse row (CSR) form with read-only
+arrays (see :class:`Graph`), so it is immutable once built: the dynamics
+assume a fixed interaction structure, and immutability makes graphs safely
+shareable across concurrent simulations.
 """
 
 from __future__ import annotations
@@ -14,78 +15,90 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Interaction graph with per-agent in-neighborhoods.
+    """Interaction graph with per-agent in-neighborhoods, in CSR form.
 
-    ``neighbors[i]`` lists the agents that influence agent i, sorted
-    ascending for reproducible iteration order.  Every agent must have at
+    ``indices[indptr[i]:indptr[i + 1]]`` lists the agents that influence
+    agent i, strictly ascending for reproducible iteration order.  Both
+    arrays are stored as read-only int64 copies.  Every agent must have at
     least one neighbor because the opinion update divides by the
-    neighborhood size.
+    neighborhood size; an undirected graph lists every pair both ways.
     """
 
     n_agents: int
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     directed: bool = False
 
     def __post_init__(self):
         n = self.n_agents
         if n < 1:
             raise ValueError(f"graph needs at least one agent, got {n}")
-        if len(self.neighbors) != n:
-            raise ValueError(
-                f"neighbor table has {len(self.neighbors)} rows for {n} agents"
-            )
-        for i, nbrs in enumerate(self.neighbors):
-            if len(nbrs) == 0:
-                raise ValueError(f"agent {i} has no neighbors")
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"agent {i} has duplicate neighbors")
-            if list(nbrs) != sorted(nbrs):
-                raise ValueError(f"neighbors of agent {i} are not sorted")
-            for j in nbrs:
-                if not 0 <= j < n:
-                    raise ValueError(f"agent {i} lists out-of-range neighbor {j}")
-                if j == i:
-                    raise ValueError(f"agent {i} has a self-loop")
+        indptr = np.array(self.indptr, dtype=np.int64)
+        indices = np.array(self.indices, dtype=np.int64)
+        indptr.flags.writeable = indices.flags.writeable = False
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        if indices.ndim != 1 or indptr.shape != (n + 1,) or indptr[0] != 0 \
+                or indptr[-1] != indices.size:
+            raise ValueError(f"indptr must hold {n + 1} offsets from 0 to {indices.size}")
+        degrees = indptr[1:] - indptr[:-1]
+        if (degrees < 1).any():
+            raise ValueError(f"agent {np.argmax(degrees < 1)} has no neighbors")
+        rows = np.repeat(np.arange(n), degrees)
+        bad = (indices < 0) | (indices >= n)
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(f"agent {rows[k]} lists out-of-range neighbor {indices[k]}")
+        bad = indices == rows
+        if bad.any():
+            raise ValueError(f"agent {rows[np.argmax(bad)]} has a self-loop")
+        bad = (rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])
+        if bad.any():
+            i = rows[np.argmax(bad)]
+            raise ValueError(f"neighbors of agent {i} are not sorted or not distinct")
         if not self.directed:
-            nbr_sets = [set(nbrs) for nbrs in self.neighbors]
-            for i, nbrs in enumerate(self.neighbors):
-                for j in nbrs:
-                    if i not in nbr_sets[j]:
-                        raise ValueError(
-                            f"undirected graph is asymmetric: {j} -> {i} but not {i} -> {j}"
-                        )
+            keys = rows * n + indices
+            reverse = np.sort(indices * n + rows)
+            if (keys != reverse).any():
+                i, j = divmod(int(np.setdiff1d(keys, reverse)[0]), n)
+                raise ValueError(f"undirected graph is asymmetric: {j} -> {i} but not {i} -> {j}")
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """In-degree n_i of every agent."""
-        return np.array([len(nbrs) for nbrs in self.neighbors], dtype=np.int64)
+        """In-degree n_i of every agent (read-only)."""
+        degrees = self.indptr[1:] - self.indptr[:-1]
+        degrees.flags.writeable = False
+        return degrees
 
     @cached_property
-    def indptr(self) -> np.ndarray:
-        """CSR-style offsets into :attr:`flat_neighbors`."""
-        out = np.zeros(self.n_agents + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=out[1:])
-        return out
-
-    @cached_property
-    def flat_neighbors(self) -> np.ndarray:
-        """All neighbor lists concatenated, for vectorized neighbor sums."""
-        return np.concatenate([np.asarray(nbrs, dtype=np.int64) for nbrs in self.neighbors])
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """``neighbors[i]`` is agent i's in-neighborhood, for per-agent loops."""
+        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(self.n_agents))
 
     @property
     def n_edges(self) -> int:
         """Number of directed edges (ordered influence pairs)."""
-        return int(self.degrees.sum())
+        return int(self.indices.size)
 
 
-def _from_adjacency(adj: list[set[int]], directed: bool) -> Graph:
-    return Graph(
-        n_agents=len(adj),
-        neighbors=tuple(tuple(sorted(s)) for s in adj),
-        directed=directed,
-    )
+def _from_edges(n: int, src: np.ndarray, dst: np.ndarray, directed: bool) -> Graph:
+    """Graph on ``n`` agents from the pairs "src[k] influences dst[k]".
+
+    An undirected graph also gets every reversed pair.  Repeated pairs are
+    merged.  ``src`` and ``dst`` are int64 arrays of agents in [0, n).
+    """
+    if not directed:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    # one key per pair, ordered by row (dst) and then by neighbor (src)
+    keys = np.sort(dst * n + src)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    rows, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(n_agents=n, indptr=indptr, indices=indices, directed=directed)
 
 
 def complete_graph(n: int) -> Graph:
@@ -95,13 +108,8 @@ def complete_graph(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    return Graph(
-        n_agents=n,
-        neighbors=tuple(
-            tuple(j for j in range(n) if j != i) for i in range(n)
-        ),
-        directed=False,
-    )
+    src, dst = np.nonzero(np.tri(n, k=-1, dtype=bool))  # every pair src > dst
+    return _from_edges(n, src, dst, directed=False)
 
 
 def square_lattice(side: int) -> Graph:
@@ -112,19 +120,10 @@ def square_lattice(side: int) -> Graph:
     """
     if side < 2:
         raise ValueError(f"square lattice needs side >= 2, got {side}")
-    adj: list[set[int]] = [set() for _ in range(side * side)]
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            if r > 0:
-                adj[i].add(i - side)
-            if r < side - 1:
-                adj[i].add(i + side)
-            if c > 0:
-                adj[i].add(i - 1)
-            if c < side - 1:
-                adj[i].add(i + 1)
-    return _from_adjacency(adj, directed=False)
+    idx = np.arange(side * side).reshape(side, side)
+    src = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+    dst = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
+    return _from_edges(side * side, src, dst, directed=False)
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
@@ -139,21 +138,25 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in (0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        draws = rng.random(n - i - 1)
-        for k, j in enumerate(range(i + 1, n)):
-            if draws[k] < edge_prob:
-                adj[i].add(j)
-                adj[j].add(i)
-    for i in range(n):
-        if not adj[i]:
+    # row i draws once for its pairs (i, j > i): the draw order fixes the graph
+    hits = [np.flatnonzero(rng.random(n - i - 1) < edge_prob) + (i + 1) for i in range(n)]
+    degree = np.array([h.size for h in hits]) + np.bincount(np.concatenate(hits), minlength=n)
+    for i in np.flatnonzero(degree == 0).tolist():
+        if degree[i] == 0:  # not attached by an earlier repair
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
-            adj[i].add(j)
-            adj[j].add(i)
-    return _from_adjacency(adj, directed=False)
+            hits[i] = np.array([j])
+            degree[j] += 1
+    src = np.repeat(np.arange(n), [h.size for h in hits])
+    return _from_edges(n, src, np.concatenate(hits), directed=False)
+
+
+def _int_field(token: str, field: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {field} must be an integer, got {token!r}") from None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -170,13 +173,13 @@ def parse_edge_list(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        parts = line.split()
         if header is None:
-            parts = line.split()
             if len(parts) != 3 or parts[0] != "N" or not parts[2].startswith("directed="):
                 raise ValueError(
                     f"line {lineno}: expected header 'N <n> directed=<0|1>', got {raw!r}"
                 )
-            n = int(parts[1])
+            n = _int_field(parts[1], "agent count", lineno)
             if n < 1:
                 raise ValueError(f"line {lineno}: agent count must be at least 1, got {n}")
             flag = parts[2].removeprefix("directed=")
@@ -184,10 +187,15 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: directed flag must be 0 or 1, got {flag!r}")
             header = (lineno, n, flag == "1")
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<src> <dst>', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        src, dst = _int_field(parts[0], "src", lineno), _int_field(parts[1], "dst", lineno)
+        # checked here: in _from_edges' row-major keys a bad src lands in another row
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"line {lineno}: edge ({src}, {dst}) out of range for {n} agents")
+        if src == dst:
+            raise ValueError(f"line {lineno}: self-loop on agent {src}")
+        edges.append((src, dst))
     if header is None:
         raise ValueError("edge list has no header line")
     header_line, n, directed = header
@@ -197,16 +205,8 @@ def parse_edge_list(text: str) -> Graph:
             f"line {header_line}: {len(edges)} edges leave some of the {n} agents "
             f"with no neighbors"
         )
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"edge ({src}, {dst}) out of range for {n} agents")
-        if src == dst:
-            raise ValueError(f"self-loop on agent {src}")
-        adj[dst].add(src)
-        if not directed:
-            adj[src].add(dst)
-    return _from_adjacency(adj, directed=directed)
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return _from_edges(n, src, dst, directed=directed)
 
 
 def read_edge_list(path: str | Path) -> Graph:

@@ -176,7 +176,7 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
         degrees = np.array([n - 1], dtype=np.int64)
     else:
         mult = 1
-        flat = graph.flat_neighbors
+        flat = graph.indices
         indptr = graph.indptr[:-1]
         degrees = graph.degrees
 

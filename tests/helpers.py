@@ -302,3 +302,96 @@ def write_bifurcation_csv_per_row(rows, path):
                     f"{row.param_value:.17g}", kind, period, s,
                     f"{thetas[s]:.17g}", f"{row.p_samples[s]:.17g}",
                 ])
+
+
+# Set-based graph construction and per-agent validation, written as plain
+# loops over Python sets, apart from the graph module's array code.  Each
+# generator oracle returns the neighbor table: row i lists agent i's
+# in-neighbors, ascending.
+
+def _table(adj):
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def complete_graph_neighbors(n):
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+
+def square_lattice_neighbors(side):
+    adj = [set() for _ in range(side * side)]
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            if r > 0:
+                adj[i].add(i - side)
+            if r < side - 1:
+                adj[i].add(i + side)
+            if c > 0:
+                adj[i].add(i - 1)
+            if c < side - 1:
+                adj[i].add(i + 1)
+    return _table(adj)
+
+
+def random_graph_neighbors(n, edge_prob, seed):
+    rng = np.random.default_rng(seed)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        draws = rng.random(n - i - 1)
+        for k, j in enumerate(range(i + 1, n)):
+            if draws[k] < edge_prob:
+                adj[i].add(j)
+                adj[j].add(i)
+    for i in range(n):
+        if not adj[i]:
+            j = int(rng.integers(0, n - 1))
+            if j >= i:
+                j += 1
+            adj[i].add(j)
+            adj[j].add(i)
+    return _table(adj)
+
+
+def edge_list_neighbors(n, pairs, directed):
+    """Table of in-range, loop-free pairs "src influences dst"."""
+    adj = [set() for _ in range(n)]
+    for src, dst in pairs:
+        adj[dst].add(src)
+        if not directed:
+            adj[src].add(dst)
+    return _table(adj)
+
+
+def check_neighbor_table(n, neighbors, directed):
+    """Raise ValueError for a table no legal graph has, agent by agent."""
+    if n < 1:
+        raise ValueError("no agents")
+    if len(neighbors) != n:
+        raise ValueError("wrong row count")
+    for i, nbrs in enumerate(neighbors):
+        if len(nbrs) == 0:
+            raise ValueError(f"agent {i} has no neighbors")
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"agent {i} has duplicate neighbors")
+        if list(nbrs) != sorted(nbrs):
+            raise ValueError(f"neighbors of agent {i} are not sorted")
+        for j in nbrs:
+            if not 0 <= j < n:
+                raise ValueError(f"agent {i} lists out-of-range neighbor {j}")
+            if j == i:
+                raise ValueError(f"agent {i} has a self-loop")
+    if not directed:
+        nbr_sets = [set(nbrs) for nbrs in neighbors]
+        for i, nbrs in enumerate(neighbors):
+            for j in nbrs:
+                if i not in nbr_sets[j]:
+                    raise ValueError(f"undirected graph is asymmetric: {j} -> {i}")
+
+
+def csr_of(neighbors):
+    """(indptr, indices) lists of a neighbor table, built by plain loops."""
+    indptr, indices = [0], []
+    for nbrs in neighbors:
+        indices.extend(nbrs)
+        indptr.append(len(indices))
+    return indptr, indices

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,88 @@ from codapol.graph import (
     read_edge_list,
     square_lattice,
 )
+from helpers import (
+    check_neighbor_table,
+    complete_graph_neighbors,
+    csr_of,
+    edge_list_neighbors,
+    random_graph_neighbors,
+    square_lattice_neighbors,
+)
+
+
+def assert_graph_is(g, neighbors):
+    """Every stored and derived form of ``g`` matches the oracle table."""
+    indptr, indices = csr_of(neighbors)
+    assert g.n_agents == len(neighbors)
+    assert g.neighbors == neighbors
+    assert g.indptr.dtype == np.int64 and g.indptr.tolist() == indptr
+    assert g.indices.dtype == np.int64 and g.indices.tolist() == indices
+    assert g.degrees.tolist() == [len(nbrs) for nbrs in neighbors]
+    assert g.n_edges == len(indices)
+
+
+class TestGeneratorsAgainstOracles:
+    @pytest.mark.parametrize("n", [2, 3, 20, 57])
+    def test_complete(self, n):
+        assert_graph_is(complete_graph(n), complete_graph_neighbors(n))
+
+    @pytest.mark.parametrize("side", [2, 3, 7, 50])
+    def test_lattice(self, side):
+        assert_graph_is(square_lattice(side), square_lattice_neighbors(side))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40, 200])
+    @pytest.mark.parametrize("edge_prob", [0.01, 0.05, 0.3, 1.0])
+    def test_random(self, n, edge_prob):
+        for seed in range(6):
+            g = random_graph(n, edge_prob, seed)
+            assert_graph_is(g, random_graph_neighbors(n, edge_prob, seed))
+
+    @given(data=st.data(), n=st.integers(2, 8), directed=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_list(self, data, n, directed):
+        agent = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(
+            st.tuples(agent, agent).filter(lambda e: e[0] != e[1]), max_size=3 * n,
+        ))
+        # repeat and reverse some of the drawn pairs
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+        pairs += [(b, a) for a, b in data.draw(st.lists(st.sampled_from(pairs), max_size=4))] \
+            if pairs else []
+        text = f"N {n} directed={int(directed)}\n" + "".join(f"{a} {b}\n" for a, b in pairs)
+        expected = edge_list_neighbors(n, pairs, directed)
+        try:
+            check_neighbor_table(n, expected, directed)
+        except ValueError:
+            with pytest.raises(ValueError, match="no neighbors"):
+                parse_edge_list(text)
+        else:
+            g = parse_edge_list(text)
+            assert g.directed == directed
+            assert_graph_is(g, expected)
+
+    @given(data=st.data(), n=st.integers(1, 5), directed=st.booleans(),
+           shape=st.sampled_from(["raw", "pairs", "symmetric"]))
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_loop_check(self, data, n, directed, shape):
+        if shape == "raw":  # any row: out of range, repeated or unsorted
+            rows = data.draw(st.lists(
+                st.lists(st.integers(-1, n), max_size=4), min_size=n, max_size=n,
+            ))
+        else:  # sorted distinct rows, without self-loops unless n = 1
+            pairs = {(a, (a + k) % n) for a, k in data.draw(st.sets(st.tuples(
+                st.integers(0, n - 1), st.integers(1, max(1, n - 1)))))}
+            if shape == "symmetric":
+                pairs |= {(b, a) for a, b in pairs}
+            rows = [sorted(b for a, b in pairs if a == i) for i in range(n)]
+        indptr, indices = csr_of(rows)
+        try:
+            check_neighbor_table(n, rows, directed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Graph(n, indptr, indices, directed)
+        else:
+            assert_graph_is(Graph(n, indptr, indices, directed), tuple(map(tuple, rows)))
 
 
 class TestCompleteGraph:
@@ -117,32 +200,57 @@ class TestGraphValidation:
         g = complete_graph(3)
         with pytest.raises(AttributeError):
             g.n_agents = 4
+        for array in (g.indptr, g.indices, g.degrees):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2
+
+    def test_arrays_copied(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+        g = Graph(2, indptr, indices)
+        indices[:] = 5
+        assert g.neighbors == ((1,), (0,))
+        assert indices.flags.writeable
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Graph(n_agents=2, neighbors=((0, 1), (0,)), directed=True)
+        with pytest.raises(ValueError, match="agent 0 has a self-loop"):
+            Graph(n_agents=2, indptr=[0, 2, 3], indices=[0, 1, 0], directed=True)
 
     def test_empty_neighborhood_rejected(self):
-        with pytest.raises(ValueError, match="no neighbors"):
-            Graph(n_agents=2, neighbors=((1,), ()), directed=True)
+        with pytest.raises(ValueError, match="agent 1 has no neighbors"):
+            Graph(n_agents=2, indptr=[0, 1, 1], indices=[1], directed=True)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out-of-range"):
-            Graph(n_agents=2, neighbors=((1,), (2,)), directed=True)
+        with pytest.raises(ValueError, match="agent 1 lists out-of-range neighbor 2"):
+            Graph(n_agents=2, indptr=[0, 1, 2], indices=[1, 2], directed=True)
+
+    def test_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="agent 1 are not sorted or not distinct"):
+            Graph(n_agents=3, indptr=[0, 1, 3, 4], indices=[1, 0, 0, 1], directed=True)
 
     def test_asymmetric_undirected_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            Graph(n_agents=3, neighbors=((1,), (0, 2), (0,)), directed=False)
+        with pytest.raises(ValueError, match="asymmetric: 2 -> 1 but not 1 -> 2"):
+            Graph(n_agents=3, indptr=[0, 1, 3, 4], indices=[1, 0, 2, 0], directed=False)
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="not sorted"):
-            Graph(n_agents=3, neighbors=((2, 1), (0, 2), (0, 1)), directed=False)
+        with pytest.raises(ValueError, match="neighbors of agent 0 are not sorted"):
+            Graph(n_agents=3, indptr=[0, 2, 4, 6], indices=[2, 1, 0, 2, 0, 1],
+                  directed=False)
+
+    @pytest.mark.parametrize("indptr", [
+        [0, 1],  # too short
+        [0, 1, 2, 2],  # too long
+        [1, 1, 2],  # does not start at 0
+        [0, 1, 3],  # does not end at indices.size
+    ])
+    def test_bad_indptr_rejected(self, indptr):
+        with pytest.raises(ValueError, match="indptr must hold 3 offsets from 0 to 2"):
+            Graph(n_agents=2, indptr=indptr, indices=[1, 0], directed=False)
 
     def test_csr_arrays_consistent(self):
         g = square_lattice(3)
         assert g.indptr[-1] == g.n_edges
         for i, nbrs in enumerate(g.neighbors):
-            got = g.flat_neighbors[g.indptr[i]:g.indptr[i + 1]]
+            got = g.indices[g.indptr[i]:g.indptr[i + 1]]
             assert list(got) == list(nbrs)
 
 
@@ -184,6 +292,9 @@ class TestEdgeList:
         ("N 100000 directed=0\n0 1\n1 2\n", "line 1: 2 edges leave some of the 100000 agents"),
         ("N 5 directed=0\n0 1\n2 3\n", "line 1: 2 edges leave some of the 5 agents"),
         ("N 3 directed=0\n0 1\n1 0\n", "agent 2 has no neighbors"),
+        ("N x directed=0\n0 1\n", "line 1: agent count must be an integer, got 'x'"),
+        ("N 2 directed=0\n0 a\n", "line 2: dst must be an integer, got 'a'"),
+        ("N 2 directed=0\n\n0 1.5\n", "line 3: dst must be an integer, got '1.5'"),
     ])
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
