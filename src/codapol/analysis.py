@@ -186,6 +186,12 @@ def same_action_components(actions, graph: Graph, agents=None) -> list[tuple[int
     """
     actions = np.asarray(actions)
     pool = set(range(graph.n_agents)) if agents is None else set(int(a) for a in agents)
+    adjacent = graph.neighbors
+    if graph.directed:  # follow each edge both ways
+        adjacent = [set(nbrs) for nbrs in adjacent]
+        for i, nbrs in enumerate(graph.neighbors):
+            for j in nbrs:
+                adjacent[j].add(i)
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
     for start in sorted(pool):
@@ -196,7 +202,7 @@ def same_action_components(actions, graph: Graph, agents=None) -> list[tuple[int
         queue = [start]
         while queue:
             i = queue.pop()
-            for j in graph.neighbors[i]:
+            for j in adjacent[i]:
                 if j in pool and j not in seen and actions[j] == actions[i]:
                     seen.add(j)
                     comp.append(j)

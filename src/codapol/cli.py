@@ -42,7 +42,13 @@ from .sweep import (
 def _build_opinions(cfg: RunConfig, n_agents: int) -> np.ndarray:
     if cfg.init.kind != "file":
         return _initial_opinions(_init_spec(cfg), n_agents)
-    values = [float(tok) for tok in Path(cfg.init.path).read_text().split()]
+    values = []
+    for k, tok in enumerate(Path(cfg.init.path).read_text().split(), start=1):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"opinion file {cfg.init.path!r}: value {k} must be a number, "
+                             f"got {tok!r}") from None
     if len(values) != n_agents:
         raise ValueError(
             f"opinion file {cfg.init.path!r} has {len(values)} values "

@@ -160,7 +160,7 @@ def emissions(actions, params: ModelParams) -> np.ndarray:
 
 
 def step_pollution(p: float, total_emission: float, gamma: float) -> float:
-    """One pollution update: decay by gamma, then add the total emission."""
+    """One pollution update (elementwise): decay by gamma, then add the total emission."""
     return gamma * p + total_emission
 
 
@@ -170,27 +170,21 @@ def local_field(i: int, actions, q_p: int, graph: Graph, beta: float) -> float:
     (1 - beta) * (n_i_plus - n_i_minus) / n_i + beta * q_p, always in [-1, 1].
     """
     nbrs = graph.neighbors[i]
-    s = 0
-    for j in nbrs:
-        s += int(actions[j])
+    s = sum(int(actions[j]) for j in nbrs)
     return (1.0 - beta) * (s / len(nbrs)) + beta * q_p
 
 
 def local_fields(actions: np.ndarray, q_p: int, graph: Graph, beta: float) -> np.ndarray:
-    """Vectorized :func:`local_field` for all agents at once.
-
-    Bitwise identical to the scalar version per agent: the neighbor sum adds
-    +-1 integers, which is exact in any order.
-    """
-    q = np.asarray(actions, dtype=np.int64)
-    sums = np.add.reduceat(q[graph.indices], graph.indptr[:-1])
-    return (1.0 - beta) * (sums / graph.degrees) + beta * q_p
+    """Vectorized :func:`local_field` for all agents at once, bitwise identical per agent."""
+    mean = graph.neighbor_mean(np.asarray(actions, dtype=np.int64))
+    return (1.0 - beta) * mean + beta * q_p
 
 
 def step_opinion(theta: float, f: float) -> float:
     """One opinion update: theta + (1 - theta^2) * (f - theta).
 
-    The result stays in [-1, 1]; opinions at exactly +-1 never move.
+    The result stays in [-1, 1]; opinions at exactly +-1 never move.  Both
+    kernels call it on whole arrays.
     """
     return theta + (1.0 - theta * theta) * (f - theta)
 
@@ -219,12 +213,11 @@ def _advance(theta: np.ndarray, q: np.ndarray, p: float, qp: int,
     (the action-count form), which for equal summands matches the
     elementwise emission sum.
     """
-    sums = np.add.reduceat(q[graph.indices], graph.indptr[:-1])
-    f = (1.0 - params.beta) * (sums / graph.degrees) + params.beta * qp
-    theta_new = theta + (1.0 - theta * theta) * (f - theta)
+    f = (1.0 - params.beta) * graph.neighbor_mean(q) + params.beta * qp
+    theta_new = step_opinion(theta, f)
     n_plus = int(np.count_nonzero(q == 1))
     total_e = n_plus * params.e_max + (q.shape[0] - n_plus) * params.e_min
-    p_new = params.gamma * p + total_e
+    p_new = step_pollution(p, total_e, params.gamma)
     q_new, qp_new = _refresh(theta_new, p_new, q, qp, params.p_bar)
     return theta_new, q_new, p_new, qp_new
 

@@ -24,6 +24,8 @@ class Graph:
     arrays are stored as read-only int64 copies.  Every agent must have at
     least one neighbor because the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
+    No other module reads the CSR arrays: kernels take neighbor averages
+    from :meth:`neighbor_mean`, and per-agent loops use :attr:`neighbors`.
     """
 
     n_agents: int
@@ -77,6 +79,16 @@ class Graph:
         """``neighbors[i]`` is agent i's in-neighborhood, for per-agent loops."""
         flat, ptr = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(self.n_agents))
+
+    def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
+        """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike."""
+        gathered = q[self.indices] if q.ndim == 1 else q[:, self.indices]
+        return np.add.reduceat(gathered, self._row_starts, axis=-1) / self.degrees
+
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        """Writable ``indptr[:-1]``: ``reduceat`` copies a read-only index array per call."""
+        return self.indptr[:-1].copy()
 
     @property
     def n_edges(self) -> int:

@@ -7,16 +7,15 @@ in :mod:`codapol.dynamics`, so batch results are bitwise identical to
 running each point alone, regardless of chunking or thread count.
 
 A fully synchronized start on a complete graph stays synchronized bit for
-bit: every agent sees the field ((n-1) q) / (n-1) = +-1.0 exactly and takes
-the same update.  The batch therefore advances such a sweep as one column
-standing for all n agents (the FS quotient), at O(P) per tick instead of
-O(P N), and broadcasts it back to N agents, so every row and attractor
-vector keeps length N and the same bytes.
+bit: every agent's neighbors all hold its own action q, so its neighbor
+mean is q itself, +-1.0 exactly, and every agent takes the same update.
+The batch therefore advances such a sweep as one column standing for all n
+agents (the FS quotient), with the identity as its neighbor mean, at O(P)
+per tick instead of O(P N), and broadcasts it back to N agents, so every
+row and attractor vector keeps length N and the same bytes.
 
 The gallery runs single points through :func:`codapol.dynamics.simulate`,
-whose scalar kernel takes 27-29 us per tick at N=20 against 49-59 us for the
-batch at P=1 (numpy-scalar quantizers: 5.3 us against 0.12 us in plain
-Python; ``count_nonzero(axis=...)``: 6.9 us against 2.3 us).
+whose scalar kernel is the faster one at P=1 (see ``dynamics._advance``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .analysis import AttractorClass, classify_states
 from .dynamics import ModelParams, Trajectory, _check_initial, _write_csv, initial_state
-from .dynamics import random_opinions, simulate
+from .dynamics import random_opinions, simulate, step_opinion, step_pollution
 from .graph import Graph, GraphSpec
 
 
@@ -155,10 +154,10 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
 
     Each column stands for a class of ``mult`` agents.  A fully synchronized
     start (on a complete graph, as ``_start`` requires) is one column with
-    multiplicity n whose neighbor list is n-1 copies of itself, so its field
-    is exactly the +-1.0 every agent of the full state sees; the tail is
-    broadcast back to N agents.  Every other start keeps its N columns with
-    multiplicity 1.
+    multiplicity n whose neighbor mean is its own action, exactly the +-1.0
+    every agent of the full state sees; the tail is broadcast back to N
+    agents.  Every other start keeps its N columns with multiplicity 1 and
+    takes its means from ``graph.neighbor_mean``.
     """
     n_pts = len(values)
     n = graph.n_agents
@@ -171,14 +170,9 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
 
     if isinstance(spec.initial, FSInit):
         opinions0, mult = opinions0[:1], n
-        flat = np.zeros(n - 1, dtype=np.int64)
-        indptr = np.zeros(1, dtype=np.int64)
-        degrees = np.array([n - 1], dtype=np.int64)
+        neighbor_mean = lambda q: q  # each agent's neighbors all hold its own action
     else:
-        mult = 1
-        flat = graph.indices
-        indptr = graph.indptr[:-1]
-        degrees = graph.degrees
+        mult, neighbor_mean = 1, graph.neighbor_mean
 
     theta = np.tile(opinions0, (n_pts, 1))
     p = np.full(n_pts, spec.initial.p0, dtype=np.float64)
@@ -190,12 +184,11 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
 
     total_steps = spec.transient + spec.tail
     for k in range(total_steps):
-        sums = np.add.reduceat(q[:, flat], indptr, axis=1)
-        f = (1.0 - beta) * (sums / degrees) + beta * qp[:, None]
-        theta_new = theta + (1.0 - theta * theta) * (f - theta)
+        f = (1.0 - beta) * neighbor_mean(q) + beta * qp[:, None]
+        theta_new = step_opinion(theta, f)
         n_plus = np.count_nonzero(q == 1, axis=1) * mult
         total_e = n_plus * e_max + (n - n_plus) * e_min
-        p_new = gamma * p + total_e
+        p_new = step_pollution(p, total_e, gamma)
         q = np.where(theta_new > 0.0, 1, np.where(theta_new < 0.0, -1, q))
         qp = np.where(p_new > p_bar, -1, np.where(p_new < p_bar, 1, qp))
         theta, p = theta_new, p_new

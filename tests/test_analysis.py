@@ -28,7 +28,7 @@ from codapol.analysis import (
     write_lattice_grid_csv,
 )
 from codapol.dynamics import ModelParams, fs_initial_state, initial_state, random_opinions, simulate
-from codapol.graph import complete_graph, random_graph, square_lattice
+from codapol.graph import GraphSpec, complete_graph, parse_edge_list, random_graph, square_lattice
 
 from helpers import (
     SPECIAL_FLOATS,
@@ -41,6 +41,13 @@ from helpers import (
 )
 
 BASE = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+
+# Two labellings of one directed graph (agents 0 and 1 swapped): in the first,
+# agent 0 lists only agent 2, so 0 and 1 are joined by the edge 0 -> 1 alone.
+DIRECTED_TEXT = "N 4 directed=1\n0 1\n2 0\n3 2\n2 3\n"
+DIRECTED = parse_edge_list(DIRECTED_TEXT)
+DIRECTED_SWAPPED = parse_edge_list("N 4 directed=1\n1 0\n2 1\n3 2\n2 3\n")
+SWAP_01 = [1, 0, 2, 3]
 
 
 class TestPredictedOpinionLimit:
@@ -198,6 +205,17 @@ class TestSameActionComponents:
         comps = same_action_components(np.array([1, 1, 1, -1]), g, agents=[0, 2, 3])
         assert comps == [(0, 2), (3,)]
 
+    @pytest.mark.parametrize("actions", [[1, 1, -1, -1], [1, 1, 1, -1], [-1, 1, 1, 1],
+                                         [1, -1, 1, -1]])
+    def test_directed_edges_count_both_ways(self, actions):
+        comps = same_action_components(np.array(actions), DIRECTED)
+        swapped = same_action_components(np.array(actions)[SWAP_01], DIRECTED_SWAPPED)
+        relabelled = sorted(tuple(sorted(SWAP_01[i] for i in c)) for c in swapped)
+        assert comps == relabelled
+
+    def test_edge_listed_one_way_joins_both_ends(self):
+        assert same_action_components(np.array([1, 1, -1, -1]), DIRECTED) == [(0, 1), (2, 3)]
+
 
 class TestFindPreservedClusters:
     def test_unanimous_constant_run_is_one_strong_component(self):
@@ -258,6 +276,23 @@ class TestFindPreservedClusters:
                 if rep.action == -1 and rep.weakly_robust:
                     for i in comp:
                         assert np.all(traj.actions[:, i] == -1)
+
+    def test_directed_edge_list_run(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(DIRECTED_TEXT)
+        g = GraphSpec(kind="edgelist", path=str(path)).build()
+        # agent 0 holds the boundary opinion 1, which never moves; every other
+        # agent follows its neighbors (weight 0.8) against either signal
+        params = ModelParams(beta=0.2, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        s0 = initial_state([1.0, 0.5, -0.5, -0.5], 100.0, params, allow_boundary=True)
+        traj = simulate(s0, g, params, 50, allow_boundary=True)
+        assert set(traj.q_p.tolist()) == {-1, 1}
+        assert np.all(traj.actions == traj.actions[0])
+        reports = find_preserved_clusters(traj, g, params.beta)
+        assert [(r.members, r.action) for r in reports] == [((0, 1), 1), ((2, 3), -1)]
+        # agent 0 lists only agent 2, which lies outside its cluster
+        assert not reports[0].weakly_robust and reports[0].violations[0][:3] == (0, 0, 1)
+        assert reports[1].strongly_robust
 
     @pytest.mark.parametrize("graph", [square_lattice(6), complete_graph(10)],
                              ids=["larger", "smaller"])

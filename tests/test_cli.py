@@ -108,6 +108,19 @@ class TestSimulateCommand:
         assert "agent 0" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_unparsable_opinion_file_names_file_and_position(self, tmp_path, capsys):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("0.5 0.25\n" + "0.5\n" * 5 + "abc\n" + "0.5\n" * 13)
+        sections = BASE_SECTIONS.replace(
+            "kind = fs\ntheta0 = 0.4", f"kind = file\npath = {ops}"
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SIMULATE_BLOCK, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: opinion file {str(ops)!r}: value 8 must be a number, got 'abc'" in err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestSweepCommand:
     def test_bifurcation_csv_written(self, tmp_path):

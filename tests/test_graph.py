@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codapol.dynamics import local_field
 from codapol.graph import (
     Graph,
     GraphSpec,
@@ -252,6 +253,31 @@ class TestGraphValidation:
         for i, nbrs in enumerate(g.neighbors):
             got = g.indices[g.indptr[i]:g.indptr[i + 1]]
             assert list(got) == list(nbrs)
+
+
+# a directed graph: agent 1 lists 0 and 3, agent 2 lists 0 and 1, ...
+DIRECTED_TEXT = "N 5 directed=1\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n3 1\n"
+
+
+class TestNeighborMean:
+    @pytest.mark.parametrize("graph", [
+        square_lattice(5),
+        random_graph(30, 0.2, 1),
+        complete_graph(12),
+        parse_edge_list(DIRECTED_TEXT),
+    ], ids=["lattice", "random", "complete", "edgelist-directed"])
+    def test_stack_matches_rows_and_per_agent_loop(self, graph):
+        n = graph.n_agents
+        q = np.random.default_rng(n).choice([-1, 1], size=(6, n)).astype(np.int64)
+        stack = graph.neighbor_mean(q)
+        assert stack.shape == (6, n) and stack.dtype == np.float64
+        for row, mean in zip(q, stack):
+            assert graph.neighbor_mean(row).tobytes() == mean.tobytes()
+            loop = [sum(int(row[j]) for j in nbrs) / len(nbrs) for nbrs in graph.neighbors]
+            assert np.array(loop).tobytes() == mean.tobytes()
+            for beta, q_p in [(0.0, 1), (0.3, -1), (0.77, 1), (1.0, -1)]:
+                fields = [local_field(i, row, q_p, graph, beta) for i in range(n)]
+                assert np.array(fields).tobytes() == ((1.0 - beta) * mean + beta * q_p).tobytes()
 
 
 class TestEdgeList:

@@ -39,6 +39,9 @@ from helpers import (
 
 BASE = ModelParams(beta=0.5, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
 COMPLETE_20 = GraphSpec(kind="complete", n=20)
+# a directed ring of 10 with chords; in-degrees 1 to 3
+DIRECTED_EDGES = "N 10 directed=1\n" + "".join(
+    f"{i} {(i + 1) % 10}\n" for i in range(10)) + "0 5\n3 5\n7 2\n9 4\n2 8\n"
 
 
 def fs_spec(grid, transient=2000, tail=512, max_period=128, **kwargs):
@@ -172,8 +175,13 @@ class TestRunSweep:
         GraphSpec(kind="lattice", side=4),
         GraphSpec(kind="random", n=16, edge_prob=0.4, seed=3),
         GraphSpec(kind="complete", n=12),
-    ], ids=["lattice", "random", "complete"])
-    def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec):
+        GraphSpec(kind="edgelist", path=DIRECTED_EDGES),
+    ], ids=["lattice", "random", "complete", "edgelist-directed"])
+    def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec, tmp_path):
+        if graph_spec.kind == "edgelist":  # the path field holds the file's text
+            path = tmp_path / "g.txt"
+            path.write_text(graph_spec.path)
+            graph_spec = replace(graph_spec, path=str(path))
         spec = fs_spec([0.3, 0.6, 0.95], transient=200, tail=260, max_period=128,
                        initial=RandomInit(seed=9, p0=100.0), graph_spec=graph_spec)
         rows = run_sweep(spec)
