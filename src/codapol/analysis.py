@@ -123,6 +123,50 @@ def qp_stationarity_certificate(p_k: float, params: ModelParams, n_agents: int) 
     )
 
 
+def _mask(agents, n: int, what: str) -> np.ndarray:
+    """Boolean [n] mask of the iterable ``agents``, each of which must lie in [0, n)."""
+    idx = np.array([int(a) for a in agents], dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} out of range [0, {n})")
+    return np.bincount(idx, minlength=n) > 0
+
+
+def _actions(actions, graph: Graph) -> np.ndarray:
+    actions = np.asarray(actions)
+    if actions.shape != (graph.n_agents,):
+        raise ValueError(f"need one action per agent ({graph.n_agents}), "
+                         f"got an array of shape {actions.shape}")
+    return actions
+
+
+def _components(graph: Graph, labels: np.ndarray, pool: np.ndarray) -> list[np.ndarray]:
+    """The pool's components as ascending arrays, by smallest member (each one's root)."""
+    members = np.flatnonzero(pool)
+    roots = graph.components(labels)[members]
+    order = np.argsort(roots, kind="stable")
+    cuts = np.flatnonzero(np.diff(roots[order])) + 1
+    return np.split(members[order], cuts) if members.size else []
+
+
+def _certify(mem: np.ndarray, action: int, inside: np.ndarray, n_i: np.ndarray,
+             beta: float) -> ClusterReport:
+    """Certificate of the same-action cluster ``mem`` (ascending), given each
+    member's in-neighbors ``n_i`` and how many of them lie in the cluster."""
+    outside = n_i - inside
+    margin = (math.inf if beta == 1.0 else beta / (1.0 - beta)) * n_i
+    weak, strong = inside - outside + margin, inside - outside - margin
+    weakly, worst = bool(weak.min() >= 0.0), float(strong.min())
+    binding = strong if weakly else weak
+    fails = np.flatnonzero(binding < 0.0)
+    fails = fails[np.argsort(binding[fails], kind="stable")]  # ties keep member order
+    return ClusterReport(
+        members=tuple(mem.tolist()), action=action, weakly_robust=weakly,
+        strongly_robust=worst >= 0.0, worst_strong_slack=worst,
+        violations=tuple(zip(*(x[fails].tolist() for x in (mem, inside, outside, binding)))),
+    )
+
+
 def certify_cluster(members, graph: Graph, actions_at_0, beta: float) -> ClusterReport:
     """Evaluate the weak and strong robustness certificates for a vertex set.
 
@@ -131,84 +175,34 @@ def certify_cluster(members, graph: Graph, actions_at_0, beta: float) -> Cluster
     At beta = 1 the margin diverges: every same-action set is weakly robust
     and no set is strongly robust.
     """
-    mem = tuple(sorted(set(int(m) for m in members)))
-    if not mem:
+    in_cluster = _mask(members, graph.n_agents, "member")
+    mem = np.flatnonzero(in_cluster)
+    if not mem.size:
         raise ValueError("cluster must be nonempty")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    actions = np.asarray(actions_at_0)
-    for i in mem:
-        if not 0 <= i < graph.n_agents:
-            raise ValueError(f"member {i} out of range")
-
-    acts = {int(actions[i]) for i in mem}
-    if len(acts) != 1:
+    actions = _actions(actions_at_0, graph)
+    if (actions[mem] != actions[mem[0]]).any():
         return ClusterReport(
-            members=mem, action=0, weakly_robust=False, strongly_robust=False,
+            members=tuple(mem.tolist()), action=0, weakly_robust=False, strongly_robust=False,
             mixed_action=True,
         )
-    action = acts.pop()
-
-    member_set = set(mem)
-    margin_factor = math.inf if beta == 1.0 else beta / (1.0 - beta)
-    weak_fails: list[tuple[int, int, int, float]] = []
-    strong_fails: list[tuple[int, int, int, float]] = []
-    worst_strong = math.inf
-    for i in mem:
-        n_i = len(graph.neighbors[i])
-        inside = sum(1 for j in graph.neighbors[i] if j in member_set)
-        outside = n_i - inside
-        margin = margin_factor * n_i
-        weak_slack = inside - outside + margin
-        strong_slack = inside - outside - margin
-        worst_strong = min(worst_strong, strong_slack)
-        if weak_slack < 0.0:
-            weak_fails.append((i, inside, outside, weak_slack))
-        if strong_slack < 0.0:
-            strong_fails.append((i, inside, outside, strong_slack))
-
-    weakly = not weak_fails
-    strongly = not strong_fails
-    binding = weak_fails if weak_fails else strong_fails
-    violations = tuple(sorted(binding, key=lambda rec: rec[3]))
-    return ClusterReport(
-        members=mem, action=action, weakly_robust=weakly, strongly_robust=strongly,
-        violations=violations, worst_strong_slack=worst_strong,
-    )
+    inside = graph.count_equal(in_cluster)[mem]
+    return _certify(mem, int(actions[mem[0]]), inside, graph.degrees[mem], beta)
 
 
 def same_action_components(actions, graph: Graph, agents=None) -> list[tuple[int, ...]]:
-    """Connected components of the same-action subgraph.
+    """Connected components of the same-action subgraph, by smallest member.
 
     Only agents in ``agents`` (default: all) participate; two participating
     agents are connected when one lists the other as neighbor and both hold
     the same action.  Edges are treated as undirected for connectivity.
     """
-    actions = np.asarray(actions)
-    pool = set(range(graph.n_agents)) if agents is None else set(int(a) for a in agents)
-    adjacent = graph.neighbors
-    if graph.directed:  # follow each edge both ways
-        adjacent = [set(nbrs) for nbrs in adjacent]
-        for i, nbrs in enumerate(graph.neighbors):
-            for j in nbrs:
-                adjacent[j].add(i)
-    seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in adjacent[i]:
-                if j in pool and j not in seen and actions[j] == actions[i]:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        components.append(tuple(sorted(comp)))
-    return components
+    actions = _actions(actions, graph)
+    n = graph.n_agents
+    pool = np.ones(n, dtype=bool) if agents is None else _mask(agents, n, "agent")
+    # NaN equals no label, so an agent off the pool joins no component
+    return [tuple(c.tolist()) for c in _components(graph, np.where(pool, actions, np.nan), pool)]
 
 
 def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -> list[ClusterReport]:
@@ -216,7 +210,9 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
 
     Agents whose action never changed over the trajectory are partitioned
     into connected components of the same-action subgraph and each component
-    is certified; reports come back ordered by smallest member index.
+    is certified; reports come back ordered by smallest member index.  A
+    constant agent's neighbor is in its component exactly when it is constant
+    with the same action, so one labelling gives components and inside counts.
     """
     if trajectory.n_snapshots < 1:
         raise ValueError("trajectory has no snapshots")
@@ -224,12 +220,14 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
         raise ValueError(
             f"graph has {graph.n_agents} agents, trajectory has {trajectory.n_agents}"
         )
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     acts = trajectory.actions
-    constant = np.flatnonzero((acts == acts[0]).all(axis=0)).tolist()
-    if not constant:
-        return []
-    components = same_action_components(acts[0], graph, agents=constant)
-    return [certify_cluster(comp, graph, acts[0], beta) for comp in components]
+    constant = (acts == acts[0]).all(axis=0)
+    labels = np.where(constant, acts[0], np.nan)  # NaN equals no label
+    inside, n_i = graph.count_equal(labels), graph.degrees
+    return [_certify(m, int(acts[0, m[0]]), inside[m], n_i[m], beta)
+            for m in _components(graph, labels, constant)]
 
 
 def fs_action_equilibria(params: ModelParams, n_agents: int) -> set[ActionSpacePoint]:

@@ -19,7 +19,7 @@ accepted on input only; manifests list the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dynamics import ModelParams
@@ -304,7 +304,17 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"section(s) {names} are not used by command {command!r}")
     if section not in sections:
         raise ConfigError(f"command {command!r} needs section [{section}]")
-    return RunConfig(graph=graph, params=params, init=init, **run, **_read(sections, section))
+    values = _read(sections, section)
+    # Swept values must make valid ModelParams before any run starts.  Each
+    # field's bounds are an interval, so the extreme values stand for all.
+    swept = {"grid": values.get("sweep_param"), "betas": "beta"}
+    for key in swept.keys() & values.keys():
+        for v in (min(values[key]), max(values[key])):
+            try:
+                replace(params, **{swept[key]: v})
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r} in [{section}]: value {v!r}: {exc}") from None
+    return RunConfig(graph=graph, params=params, init=init, **run, **values)
 
 
 def render_config(cfg: RunConfig) -> str:

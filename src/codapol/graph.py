@@ -25,7 +25,8 @@ class Graph:
     least one neighbor because the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
     No other module reads the CSR arrays: kernels take neighbor averages
-    from :meth:`neighbor_mean`, and per-agent loops use :attr:`neighbors`.
+    from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal` and
+    :meth:`components`, and only ``local_field`` and tests use :attr:`neighbors`.
     """
 
     n_agents: int
@@ -84,6 +85,30 @@ class Graph:
         """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike."""
         gathered = q[self.indices] if q.ndim == 1 else q[:, self.indices]
         return np.add.reduceat(gathered, self._row_starts, axis=-1) / self.degrees
+
+    def count_equal(self, labels: np.ndarray) -> np.ndarray:
+        """For each agent, how many of its in-neighbors share its entry of ``labels``."""
+        same = labels[self.indices] == np.repeat(labels, self.degrees)
+        return np.add.reduceat(same, self._row_starts, dtype=np.int64)
+
+    def components(self, labels: np.ndarray) -> np.ndarray:
+        """For each agent, the smallest agent it reaches over equal-label edges either way.
+
+        Hook-and-compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
+        hooks every root under the smallest root an edge leads to, then jumps
+        pointers to the roots.  A root hooks only under a smaller one.
+        """
+        rows = np.repeat(np.arange(self.n_agents), self.degrees)
+        same = labels[self.indices] == labels[rows]
+        a, b = rows[same], self.indices[same]
+        root = np.arange(self.n_agents)
+        while a.size:
+            ra, rb = root[a], root[b]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while (root[root] != root).any():
+                root = root[root]
+            a, b = a[ra != rb], b[ra != rb]  # an edge inside one tree stays inside
+        return root
 
     @cached_property
     def _row_starts(self) -> np.ndarray:

@@ -100,6 +100,8 @@ class SweepSpec:
             raise ValueError(f"transient must be nonnegative, got {self.transient}")
         if self.tail < 1:
             raise ValueError(f"tail must be positive, got {self.tail}")
+        if self.max_period < 1:
+            raise ValueError(f"max_period must be positive, got {self.max_period}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -200,8 +202,7 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
 
 
 def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
-                     tail_theta: np.ndarray, tail_p: np.ndarray,
-                     fs: bool) -> list[SweepRow]:
+                     tail_theta: np.ndarray, tail_p: np.ndarray) -> list[SweepRow]:
     rows = []
     for j, v in enumerate(values):
         try:
@@ -210,7 +211,7 @@ def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
             )
         except Exception as exc:
             raise SweepError(f"grid value {v!r}: {exc}") from exc
-        if fs:
+        if isinstance(spec.initial, FSInit):
             samples = tail_theta[j, :, 0].copy()
         else:
             samples = np.column_stack([
@@ -239,24 +240,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         return []
     graph, opinions0 = _start(spec)
     _check_initial(opinions0, spec.initial.p0, [spec.params_at(v).p_bar for v in spec.grid])
-    fs = isinstance(spec.initial, FSInit)
-
-    n_pts = len(spec.grid)
-    n_chunks = min(threads, n_pts)
-    bounds = np.linspace(0, n_pts, n_chunks + 1).astype(int)
-    chunks = [spec.grid[bounds[c]:bounds[c + 1]] for c in range(n_chunks)]
-
-    if n_chunks == 1:
-        tails = [_run_chunk(spec, graph, opinions0, chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            tails = list(pool.map(
-                lambda vals: _run_chunk(spec, graph, opinions0, vals), chunks
-            ))
-
+    chunks = [c.tolist() for c in np.array_split(spec.grid, min(threads, len(spec.grid)))]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        tails = list(pool.map(lambda vals: _run_chunk(spec, graph, opinions0, vals), chunks))
+    # classify on the calling thread: a tracer wrapping classify_states sees run_sweep as caller
     rows: list[SweepRow] = []
     for vals, (tth, tp) in zip(chunks, tails):
-        rows.extend(_rows_from_tails(spec, vals, tth, tp, fs))
+        rows.extend(_rows_from_tails(spec, vals, tth, tp))
     return rows
 
 
@@ -265,14 +255,15 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     """Full stride-1 trajectories for phase-plane plots, with classification.
 
     Each entry simulates transient + tail ticks at one beta (other
-    parameters from ``base``) and classifies the tail.
+    parameters from ``base``) and classifies the tail.  Every beta is
+    checked, as a ``ModelParams`` field, before the first run.
     """
+    points = [(b, replace(base.base_params, beta=float(b))) for b in betas]
     graph, opinions0 = _start(base)
     state0 = initial_state(opinions0, base.initial.p0, base.base_params)
     entries = []
-    for b in betas:
+    for b, params in points:
         try:
-            params = replace(base.base_params, beta=float(b))
             traj = simulate(state0, graph, params, base.transient + base.tail, stride=1)
             attractor = classify_states(
                 traj.opinions[-base.tail:], traj.pollution[-base.tail:],

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from codapol.analysis import Aperiodic, FixedPoint, LimitCycle
+from codapol.analysis import Aperiodic, ClusterReport, FixedPoint, LimitCycle
 
 
 def brute_force_period(states, tol, max_period):
@@ -395,3 +395,86 @@ def csr_of(neighbors):
         indices.extend(nbrs)
         indptr.append(len(indices))
     return indptr, indices
+
+
+# Cluster search and certification agent by agent: a breadth-first search
+# over the neighbor table (each edge followed both ways) and a per-member
+# count of inside and outside neighbors, apart from the analysis module's
+# label comparisons over CSR.
+
+def same_action_components_bfs(actions, graph, agents=None):
+    """Same-action components of the pool, each ascending, by smallest member."""
+    pool = set(range(graph.n_agents)) if agents is None else set(int(a) for a in agents)
+    adjacent = [set(nbrs) for nbrs in graph.neighbors]
+    for i, nbrs in enumerate(graph.neighbors):
+        for j in nbrs:
+            adjacent[j].add(i)
+    seen = set()
+    components = []
+    for start in sorted(pool):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in adjacent[i]:
+                if j in pool and j not in seen and actions[j] == actions[i]:
+                    seen.add(j)
+                    comp.append(j)
+                    queue.append(j)
+        components.append(tuple(sorted(comp)))
+    return components
+
+
+def certify_cluster_loop(members, graph, actions, beta):
+    """The weak and strong certificates of one vertex set, member by member."""
+    mem = tuple(sorted(set(int(m) for m in members)))
+    acts = {int(actions[i]) for i in mem}
+    if len(acts) != 1:
+        return ClusterReport(members=mem, action=0, weakly_robust=False,
+                             strongly_robust=False, mixed_action=True)
+    member_set = set(mem)
+    margin_factor = math.inf if beta == 1.0 else beta / (1.0 - beta)
+    weak_fails, strong_fails = [], []
+    worst_strong = math.inf
+    for i in mem:
+        n_i = len(graph.neighbors[i])
+        inside = sum(1 for j in graph.neighbors[i] if j in member_set)
+        outside = n_i - inside
+        margin = margin_factor * n_i
+        weak_slack = inside - outside + margin
+        strong_slack = inside - outside - margin
+        worst_strong = min(worst_strong, strong_slack)
+        if weak_slack < 0.0:
+            weak_fails.append((i, inside, outside, weak_slack))
+        if strong_slack < 0.0:
+            strong_fails.append((i, inside, outside, strong_slack))
+    binding = weak_fails if weak_fails else strong_fails
+    return ClusterReport(
+        members=mem, action=acts.pop(), weakly_robust=not weak_fails,
+        strongly_robust=not strong_fails,
+        violations=tuple(sorted(binding, key=lambda rec: rec[3])),
+        worst_strong_slack=worst_strong,
+    )
+
+
+def find_preserved_clusters_loop(trajectory, graph, beta):
+    """Certify each same-action component of the agents that never switch."""
+    acts = trajectory.actions
+    constant = [i for i in range(graph.n_agents) if (acts[:, i] == acts[0, i]).all()]
+    components = same_action_components_bfs(acts[0], graph, agents=constant) if constant else []
+    return [certify_cluster_loop(c, graph, acts[0], beta) for c in components]
+
+
+def report_key(report):
+    """Every field of a ClusterReport, with types, floats by ``repr``."""
+    return (
+        report.members, report.action, report.weakly_robust, report.strongly_robust,
+        tuple((type(a), a, type(i), i, type(o), o, repr(s)) for a, i, o, s in report.violations),
+        report.mixed_action, repr(report.worst_strong_slack),
+        [type(m) for m in report.members], type(report.action),
+        type(report.weakly_robust), type(report.strongly_robust),
+        type(report.worst_strong_slack),
+    )

@@ -27,15 +27,26 @@ from codapol.analysis import (
     write_cluster_csv,
     write_lattice_grid_csv,
 )
-from codapol.dynamics import ModelParams, fs_initial_state, initial_state, random_opinions, simulate
+from codapol.dynamics import (
+    ModelParams,
+    Trajectory,
+    fs_initial_state,
+    initial_state,
+    random_opinions,
+    simulate,
+)
 from codapol.graph import GraphSpec, complete_graph, parse_edge_list, random_graph, square_lattice
 
 from helpers import (
     SPECIAL_FLOATS,
     attractor_bytes,
     brute_force_period,
+    certify_cluster_loop,
     classify_unfiltered,
+    find_preserved_clusters_loop,
     fs_flip_time,
+    report_key,
+    same_action_components_bfs,
     write_cluster_csv_per_row,
     write_lattice_grid_csv_per_row,
 )
@@ -155,6 +166,25 @@ class TestCertifyCluster:
         with pytest.raises(ValueError):
             certify_cluster([], complete_graph(3), np.ones(3), 0.5)
 
+    @pytest.mark.parametrize("members, actions, beta, match", [
+        ([0, 1], np.ones(9), -0.1, r"beta must lie in \[0, 1\], got -0.1"),
+        ([0, 1], np.ones(9), 1.5, r"beta must lie in \[0, 1\], got 1.5"),
+        ([0, 9], np.ones(9), 0.4, r"member 9 out of range \[0, 9\)"),
+        ([-1, 0], np.ones(9), 0.4, r"member -1 out of range \[0, 9\)"),
+        ([0, 1], np.ones(4), 0.4, r"one action per agent \(9\).*shape \(4,\)"),
+        ([0, 1], np.ones(12), 0.4, r"one action per agent \(9\).*shape \(12,\)"),
+        ([0, 1], np.ones((1, 9)), 0.4, r"one action per agent \(9\).*shape \(1, 9\)"),
+    ])
+    def test_bad_input_rejected(self, members, actions, beta, match):
+        with pytest.raises(ValueError, match=match):
+            certify_cluster(members, square_lattice(3), actions, beta)
+
+    def test_members_taken_from_any_iterable(self):
+        g, actions = square_lattice(3), np.ones(9, dtype=np.int64)
+        want = report_key(certify_cluster([0, 1, 3], g, actions, 0.3))
+        for members in ({3, 1, 0}, (m for m in [3, 0, 1, 0]), np.array([1, 3, 0])):
+            assert report_key(certify_cluster(members, g, actions, 0.3)) == want
+
     @given(
         seed=st.integers(0, 500),
         beta_lo=st.floats(0.0, 0.98),
@@ -215,6 +245,30 @@ class TestSameActionComponents:
 
     def test_edge_listed_one_way_joins_both_ends(self):
         assert same_action_components(np.array([1, 1, -1, -1]), DIRECTED) == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("actions, agents, match", [
+        (np.ones(9), [-1], r"agent -1 out of range \[0, 9\)"),
+        (np.ones(9), [0, 9], r"agent 9 out of range \[0, 9\)"),
+        (np.ones(4), None, r"one action per agent \(9\).*shape \(4,\)"),
+        (np.ones(12), [0], r"one action per agent \(9\).*shape \(12,\)"),
+    ])
+    def test_bad_input_rejected(self, actions, agents, match):
+        with pytest.raises(ValueError, match=match):
+            same_action_components(actions, square_lattice(3), agents=agents)
+
+    def test_agents_off_the_pool_join_nothing(self):
+        # agents 0 and 2 share action 0 with every agent between them, none in the pool
+        actions = np.array([0, 5, 0, 0, 0, 0, 0, 7, 0])
+        comps = same_action_components(actions, square_lattice(3), agents=[0, 2, 4, 8])
+        assert comps == [(0,), (2,), (4,), (8,)]
+
+    def test_pool_taken_from_any_iterable(self):
+        g, actions = square_lattice(3), np.array([1, 1, -1, 1, 1, -1, 1, 1, 1])
+        want = [(0, 1, 3), (5,), (7, 8)]
+        for agents in ([0, 1, 3, 5, 7, 8], {8, 7, 5, 3, 1, 0}, (a for a in [8, 0, 1, 3, 5, 7, 8]),
+                       np.array([0, 1, 3, 5, 7, 8])):
+            assert same_action_components(actions, g, agents=agents) == want
+        assert same_action_components(actions, g, agents=[]) == []
 
 
 class TestFindPreservedClusters:
@@ -294,6 +348,22 @@ class TestFindPreservedClusters:
         assert not reports[0].weakly_robust and reports[0].violations[0][:3] == (0, 0, 1)
         assert reports[1].strongly_robust
 
+    def test_no_snapshots_rejected(self):
+        g = complete_graph(3)
+        empty = Trajectory(params=BASE, graph=g, recording_stride=1,
+                           ticks=np.zeros(0, dtype=np.int64), opinions=np.zeros((0, 3)),
+                           pollution=np.zeros(0), actions=np.zeros((0, 3), dtype=np.int8),
+                           q_p=np.zeros(0, dtype=np.int8))
+        with pytest.raises(ValueError, match="no snapshots"):
+            find_preserved_clusters(empty, g, BASE.beta)
+
+    @pytest.mark.parametrize("beta", [-0.5, 1.25])
+    def test_beta_out_of_range_rejected(self, beta):
+        g = complete_graph(20)
+        traj = simulate(fs_initial_state(0.4, 20, 100.0, BASE), g, BASE, 5)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            find_preserved_clusters(traj, g, beta)
+
     @pytest.mark.parametrize("graph", [square_lattice(6), complete_graph(10)],
                              ids=["larger", "smaller"])
     def test_graph_size_mismatch_rejected(self, graph):
@@ -301,6 +371,77 @@ class TestFindPreservedClusters:
         traj = simulate(fs_initial_state(0.4, 20, 100.0, params), complete_graph(20), params, 5)
         with pytest.raises(ValueError, match="graph has .* agents, trajectory has 20"):
             find_preserved_clusters(traj, graph, params.beta)
+
+
+ORACLE_GRAPHS = {
+    "random": random_graph(40, 0.07, 11),
+    "random-dense": random_graph(25, 0.3, 2),
+    "lattice": square_lattice(8),
+    "complete": complete_graph(9),
+    "edgelist-directed": parse_edge_list(
+        "N 12 directed=1\n" + "".join(f"{(i + 1) % 12} {i}\n" for i in range(12))
+        + "0 5\n5 0\n3 9\n7 2\n11 4\n4 8\n8 4\n6 10\n"),
+}
+ORACLE_BETAS = [0.0, 0.3, 0.45, 0.5, 0.77, 1.0]
+
+
+class TestClustersAgainstLoopOracles:
+    """Reports match the breadth-first search and per-member loop field for field."""
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_and_certificates(self, name, seed):
+        g = ORACLE_GRAPHS[name]
+        n = g.n_agents
+        rng = np.random.default_rng(seed)
+        betas = ORACLE_BETAS + [float(rng.random())]
+        for draw in range(4):
+            actions = np.where(rng.random(n) < rng.uniform(0.2, 0.9), 1, -1)
+            if draw == 3:  # any integer labels, 0 included, join as the loop joins them
+                actions = rng.integers(-1, 2, n)
+            pool = np.flatnonzero(rng.random(n) < 0.6).tolist()
+            for agents in (None, pool):
+                comps = same_action_components(actions, g, agents=agents)
+                assert comps == same_action_components_bfs(actions, g, agents=agents)
+                assert all(type(i) is int for comp in comps for i in comp)
+                for comp in comps[:5]:
+                    for beta in betas:
+                        assert report_key(certify_cluster(comp, g, actions, beta)) == \
+                            report_key(certify_cluster_loop(comp, g, actions, beta))
+            members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            for beta in betas:  # arbitrary sets: mixed, disconnected or same-action
+                same = np.where(np.isin(np.arange(n), members), actions[members[0]], actions)
+                for acts in (actions, same):
+                    assert report_key(certify_cluster(members, g, acts, beta)) == \
+                        report_key(certify_cluster_loop(members, g, acts, beta))
+
+    @pytest.mark.parametrize("name", ["random", "random-dense", "lattice", "edgelist-directed"])
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.45, 1.0])
+    def test_preserved_clusters_on_short_runs(self, name, beta):
+        g = ORACLE_GRAPHS[name]
+        for seed in range(3):
+            params = ModelParams(beta=beta, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+            s0 = initial_state(random_opinions(seed, g.n_agents), 100.0, params)
+            traj = simulate(s0, g, params, 12)
+            got = [report_key(r) for r in find_preserved_clusters(traj, g, beta)]
+            assert got == [report_key(r) for r in find_preserved_clusters_loop(traj, g, beta)]
+
+    def test_preserved_clusters_with_violations_of_both_kinds(self):
+        # a 30 x 30 lattice of random actions has many small clusters, some
+        # failing only the strong condition and some failing the weak one too
+        g = square_lattice(30)
+        acts = np.random.default_rng(9).choice([-1, 1], size=(3, 900)).astype(np.int8)
+        acts[1:, ::3] = acts[0, ::3]
+        traj = Trajectory(params=BASE, graph=g, recording_stride=1, ticks=np.arange(3),
+                          opinions=acts.astype(float) / 2, pollution=np.full(3, 100.0),
+                          actions=acts, q_p=np.full(3, -1, dtype=np.int8))
+        for beta in ORACLE_BETAS:
+            got = find_preserved_clusters(traj, g, beta)
+            assert [report_key(r) for r in got] == \
+                [report_key(r) for r in find_preserved_clusters_loop(traj, g, beta)]
+        reports = find_preserved_clusters(traj, g, 0.3)
+        assert any(r.weakly_robust and not r.strongly_robust for r in reports)
+        assert any(not r.weakly_robust and len(r.violations) > 1 for r in reports)
 
 
 class TestFsActionEquilibria:
@@ -420,6 +561,12 @@ class TestClassifyAttractor:
         thetas = np.full((40, 2), 0.3)
         with pytest.raises(ValueError, match="tol"):
             classify_states(thetas, np.full(40, 5.0), tol=tol, max_period=16)
+
+    @pytest.mark.parametrize("max_period", [0, -1])
+    def test_bad_max_period_rejected(self, max_period):
+        thetas = np.full((40, 2), 0.3)
+        with pytest.raises(ValueError, match=f"max_period must be positive, got {max_period}"):
+            classify_states(thetas, np.full(40, 5.0), max_period=max_period)
 
     def test_agrees_with_brute_force_oracle(self):
         rng = np.random.default_rng(7)

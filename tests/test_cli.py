@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +124,21 @@ class TestSimulateCommand:
         assert main(["--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"error: opinion file {str(ops)!r}: value 8 must be a number, got 'abc'" in err
+        assert not (out / "trajectory.csv").exists()
+
+
+    @pytest.mark.parametrize("count", [19, 21])
+    def test_opinion_file_length_mismatch_exits_one(self, tmp_path, capsys, count):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("0.5\n" * count)
+        sections = BASE_SECTIONS.replace(
+            "kind = fs\ntheta0 = 0.4", f"kind = file\npath = {ops}"
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SIMULATE_BLOCK, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: opinion file {str(ops)!r} has {count} values for 20 agents" in err
         assert not (out / "trajectory.csv").exists()
 
 
@@ -285,9 +305,45 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 2
         assert "0.45" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,key,section", [
+        (("gallery", "\n[gallery]\nbetas = 0.45,1.5\ntransient = 10\ntail = 8\n"),
+         "betas", "gallery"),
+        (("sweep", "\n[sweep]\nparam = beta\ngrid = 0.45,1.5\ntransient = 10\ntail = 8\n"),
+         "grid", "sweep"),
+        (("sweep", "\n[sweep]\nparam = gamma\ngrid = 0.5,1\ntransient = 10\ntail = 8\n"),
+         "grid", "sweep"),
+    ], ids=["gallery-beta", "sweep-beta", "sweep-gamma"])
+    def test_bad_swept_value_exits_one_before_writing(self, tmp_path, capsys, block, key,
+                                                       section):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, block, out)
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: key {key!r} in [{section}]: value ")
+        assert not out.exists()
+
     def test_precondition_error_exits_one(self, tmp_path, capsys):
         # initial pollution exactly on the threshold violates the tie rule
         sections = BASE_SECTIONS.replace("p0 = 100", "p0 = 15")
         cfg = write_config(tmp_path, SIMULATE_BLOCK, tmp_path / "o", sections=sections)
         assert main(["--config", str(cfg)]) == 1
         assert "threshold" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_codapol_runs_and_exits_with_main_code(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, ("clusters", SIMULATE_BLOCK[1]), out)
+        done = subprocess.run([sys.executable, "-m", "codapol", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(out / "manifest.txt"), str(out / "clusters.csv")]
+        bad = write_config(tmp_path, SIMULATE_BLOCK, out, name="bad.txt",
+                           sections=BASE_SECTIONS.replace("gamma = 0.5", "gamma = 1.0"))
+        done = subprocess.run([sys.executable, "-m", "codapol", "--config", str(bad)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert "gamma" in done.stderr

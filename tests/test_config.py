@@ -159,6 +159,20 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"'{key}' in"):
             parse_config(text)
 
+    @pytest.mark.parametrize("old,new,match", [
+        ("[init]", "[params]\nbeta = 0.3\n\n[init]", r"line \d+: duplicate section \[params\]"),
+        ("stride = 1", "stride 1", r"line \d+: expected 'key = value', got 'stride 1'"),
+        ("stride = 1", "= 1", r"line \d+: empty key"),
+        ("p_bar = 15\n", "", r"section \[params\] is missing key 'p_bar'"),
+        ("kind = complete\nn = 20", "kind = complete", r"section \[graph\] is missing key 'n'"),
+        ("[simulate]\nsteps = 500\nstride = 1\n", "",
+         r"command 'simulate' needs section \[simulate\]"),
+    ])
+    def test_malformed_document_rejected(self, old, new, match):
+        assert old in SIM_TEXT
+        with pytest.raises(ConfigError, match=match):
+            parse_config(SIM_TEXT.replace(old, new))
+
     def test_sweep_rejects_file_init(self, tmp_path):
         opfile = tmp_path / "ops.txt"
         opfile.write_text("0.5\n" * 20)
@@ -193,6 +207,37 @@ class TestGrid:
     def test_incomplete_range_rejected(self):
         with pytest.raises(ConfigError, match="grid"):
             parse_config(sweep_text("grid_start = 0.5\ngrid_stop = 0.9"))
+
+    @pytest.mark.parametrize("grid_lines,match", [
+        ("grid = ", r"key 'grid' in \[sweep\]: empty list"),
+        ("grid = , ,", r"key 'grid' in \[sweep\]: empty list"),
+        ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = 0", "grid_step must be positive"),
+        ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = -0.1", "grid_step must be positive"),
+        ("grid_start = 0.9\ngrid_stop = 0.5\ngrid_step = 0.1",
+         "grid_stop must not be below grid_start"),
+    ])
+    def test_bad_grid_rejected(self, grid_lines, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(sweep_text(grid_lines))
+
+    @pytest.mark.parametrize("param,grid_lines,value,reason", [
+        ("beta", "grid = 0.45,1.5", "1.5", r"beta must lie in \[0, 1\], got 1.5"),
+        ("beta", "grid = -0.5,0.5", "-0.5", r"beta must lie in \[0, 1\], got -0.5"),
+        ("gamma", "grid = 0.5,1.0", "1.0", r"gamma must lie in \(0, 1\), got 1.0"),
+        ("beta", "grid_start = 0.9\ngrid_stop = 1.2\ngrid_step = 0.1", "1.2000000000000002",
+         r"beta must lie in \[0, 1\]"),
+    ])
+    def test_every_grid_value_checked(self, param, grid_lines, value, reason):
+        text = sweep_text(grid_lines).replace("param = beta", f"param = {param}")
+        with pytest.raises(ConfigError, match=rf"key 'grid' in \[sweep\]: value {value}: {reason}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("betas,value", [("0.45,1.5", "1.5"), ("-0.25", "-0.25")])
+    def test_every_gallery_beta_checked(self, betas, value):
+        text = sweep_text("").replace("command = sweep", "command = gallery").replace(
+            "[sweep]\nparam = beta\n\ntransient", f"[gallery]\nbetas = {betas}\ntransient")
+        with pytest.raises(ConfigError, match=rf"key 'betas' in \[gallery\]: value {value}: beta"):
+            parse_config(text)
 
 
 class TestRoundTrip:
@@ -297,6 +342,11 @@ class TestRenderRejectsValuesThatCannotRoundTrip:
     def test_path(self):
         cfg = replace(parse_config(SIM_TEXT), init=InitConfig(kind="file", p0=1.0, path="a#b"))
         with pytest.raises(ConfigError, match=r"'path' in \[init\]"):
+            render_config(cfg)
+
+    def test_unknown_command(self):
+        cfg = replace(parse_config(SIM_TEXT), command="explode")
+        with pytest.raises(ConfigError, match="command must be one of .*, got 'explode'"):
             render_config(cfg)
 
     def test_unknown_graph_kind(self):

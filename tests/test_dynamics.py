@@ -353,6 +353,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="threshold"):
             simulate(s0, g, BASE, 10)
 
+    @pytest.mark.parametrize("n_agents, n_steps, stride, match", [
+        (3, -1, 1, "n_steps must be nonnegative, got -1"),
+        (3, 10, 0, "stride must be positive, got 0"),
+        (3, 10, -2, "stride must be positive, got -2"),
+        (4, 10, 1, "state has 4 agents but graph has 3"),
+    ])
+    def test_bad_run_arguments_rejected(self, n_agents, n_steps, stride, match):
+        s0 = fs_initial_state(0.4, n_agents, 100.0, BASE)
+        with pytest.raises(ValueError, match=match):
+            simulate(s0, complete_graph(3), BASE, n_steps, stride)
+
     def test_boundary_opinions_need_override(self):
         g = complete_graph(3)
         params = BASE

@@ -19,6 +19,7 @@ from helpers import (
     csr_of,
     edge_list_neighbors,
     random_graph_neighbors,
+    same_action_components_bfs,
     square_lattice_neighbors,
 )
 
@@ -247,6 +248,10 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="indptr must hold 3 offsets from 0 to 2"):
             Graph(n_agents=2, indptr=indptr, indices=[1, 0], directed=False)
 
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="at least one agent, got 0"):
+            Graph(n_agents=0, indptr=[0], indices=[])
+
     def test_csr_arrays_consistent(self):
         g = square_lattice(3)
         assert g.indptr[-1] == g.n_edges
@@ -278,6 +283,84 @@ class TestNeighborMean:
             for beta, q_p in [(0.0, 1), (0.3, -1), (0.77, 1), (1.0, -1)]:
                 fields = [local_field(i, row, q_p, graph, beta) for i in range(n)]
                 assert np.array(fields).tobytes() == ((1.0 - beta) * mean + beta * q_p).tobytes()
+
+
+def serpentine_labels(side):
+    """Labels of a side x side lattice whose 1-cells form one winding path.
+
+    Odd rows are 0-walls, each with a gap at alternate ends, so the 1-cells
+    run along every even row and turn through the gaps; ``side`` must be odd
+    for the path to end on a full row.
+    """
+    labels = np.ones((side, side), dtype=np.int64)
+    labels[1::2, :] = 0
+    labels[1::4, -1] = 1
+    labels[3::4, 0] = 1
+    return labels.ravel()
+
+
+def smallest_reachable(labels, graph):
+    """Per agent, the smallest agent of its equal-label component, by BFS."""
+    out = np.empty(graph.n_agents, dtype=np.int64)
+    for comp in same_action_components_bfs(labels, graph):
+        out[list(comp)] = comp[0]
+    return out
+
+
+class TestLabelQueries:
+    """``count_equal`` and ``components`` against per-agent loops over ``neighbors``."""
+
+    GRAPHS = {
+        "lattice": square_lattice(7),
+        "random": random_graph(40, 0.08, 3),
+        "complete": complete_graph(9),
+        "edgelist-directed": parse_edge_list(DIRECTED_TEXT),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 5])
+    def test_match_per_agent_loops(self, name, n_labels):
+        graph = self.GRAPHS[name]
+        rng = np.random.default_rng(n_labels)
+        for _ in range(5):
+            labels = rng.integers(0, n_labels, graph.n_agents) - 1
+            counts = graph.count_equal(labels)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [sum(int(labels[j] == labels[i]) for j in nbrs)
+                                       for i, nbrs in enumerate(graph.neighbors)]
+            assert graph.components(labels).tolist() == \
+                smallest_reachable(labels, graph).tolist()
+
+    def test_directed_edges_join_both_ends(self):
+        # 1 -> 2 is listed once, as agent 2's in-neighbor, yet joins 1 and 2
+        g = parse_edge_list("N 4 directed=1\n1 2\n3 0\n2 1\n0 3\n")
+        assert g.components(np.array([5, 5, 5, 5])).tolist() == [0, 1, 1, 0]
+        g = parse_edge_list("N 3 directed=1\n1 2\n2 0\n0 1\n")
+        assert g.components(np.array([7, 7, 7])).tolist() == [0, 0, 0]
+        assert g.components(np.array([7, 8, 7])).tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("side", [3, 5, 41])
+    def test_serpentine_path_is_one_component(self, side):
+        g = square_lattice(side)
+        labels = serpentine_labels(side)
+        path = np.flatnonzero(labels == 1)
+        assert path.size == (side + 1) // 2 * side + (side - 1) // 2
+        assert g.count_equal(labels)[path].max() == 2  # a path, not a blob
+        roots = g.components(labels)
+        assert np.all(roots[path] == 0)
+        assert roots.tolist() == smallest_reachable(labels, g).tolist()
+
+    def test_long_path_in_random_order(self):
+        # a path whose agent numbers are shuffled needs several hook rounds
+        n = 3000
+        order = np.random.default_rng(4).permutation(n)
+        text = f"N {n} directed=0\n" + "".join(f"{a} {b}\n" for a, b in zip(order, order[1:]))
+        g = parse_edge_list(text)
+        assert np.all(g.components(np.zeros(n)) == 0)
+        cut = np.zeros(n)
+        cut[order[n // 2:]] = 1
+        expected = np.where(cut == 1, order[n // 2:].min(), order[:n // 2].min())
+        assert g.components(cut).tolist() == expected.tolist()
 
 
 class TestEdgeList:

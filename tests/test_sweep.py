@@ -79,10 +79,25 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="tol"):
             fs_spec([0.3], tol=tol)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("transient", -1, "transient must be nonnegative, got -1"),
+        ("tail", 0, "tail must be positive, got 0"),
+        ("max_period", 0, "max_period must be positive, got 0"),
+        ("max_period", -4, "max_period must be positive, got -4"),
+    ])
+    def test_bad_run_length_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            fs_spec([0.3], **{field: value})
+
     def test_fs_requires_complete_graph(self):
         spec = fs_spec([0.45], graph_spec=GraphSpec(kind="lattice", side=4))
         with pytest.raises(ValueError, match="complete"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be positive, got {threads}"):
+            run_sweep(fs_spec([0.45]), threads=threads)
 
 
 class TestInitSpecs:
@@ -354,6 +369,16 @@ class TestAttractorGallery:
         tail_p = traj.pollution[-512:]
         assert np.max(np.abs(tail_th[m:] - tail_th[:-m])) < 1e-9
         assert np.max(np.abs(tail_p[m:] - tail_p[:-m])) < 1e-9
+
+    @pytest.mark.parametrize("betas", [[0.45, 1.5], [-0.1], [0.45, 0.6, math.nan]])
+    def test_bad_beta_rejected_before_any_run(self, betas, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before every beta was checked")
+
+        monkeypatch.setattr("codapol.sweep.simulate", no_run)
+        with pytest.raises(ValueError, match="beta") as info:
+            attractor_gallery(betas, fs_spec([0.5], transient=10, tail=8, max_period=4))
+        assert not isinstance(info.value, SweepError)
 
     def test_gallery_requires_complete_graph_for_fs(self):
         base = fs_spec([0.5], graph_spec=GraphSpec(kind="lattice", side=4))
