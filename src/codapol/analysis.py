@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ModelParams, Trajectory, _write_csv
+from .dynamics import ModelParams, Trajectory, _total_emission, _write_csv
 from .graph import Graph
 
 
@@ -95,7 +95,7 @@ def pollution_equilibrium(n_plus: int, n_minus: int, params: ModelParams) -> flo
     (n_plus * e_max + n_minus * e_min) / (1 - gamma); depends only on how the
     population splits between the two actions.
     """
-    return (n_plus * params.e_max + n_minus * params.e_min) / (1.0 - params.gamma)
+    return _total_emission(n_plus, n_minus, params.e_min, params.e_max) / (1.0 - params.gamma)
 
 
 def pollution_bounds(params: ModelParams, n_agents: int) -> tuple[float, float]:
@@ -233,9 +233,13 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
 def fs_action_equilibria(params: ModelParams, n_agents: int) -> set[ActionSpacePoint]:
     """Action-space equilibria of the fully synchronized coupled dynamics.
 
-    (1, 1) is an equilibrium iff p_max <= p_bar; (-1, -1) iff p_min >= p_bar.
-    The mixed points (1, -1) and (-1, 1) are never equilibria; an empty
-    result predicts perpetual switching between the four sign quadrants.
+    A point (q, q_p) is an equilibrium when a synchronized run that starts in
+    it stays there.  The same-sign points see the field +-1: (1, 1) holds iff
+    p_max <= p_bar and (-1, -1) iff p_min >= p_bar.  The mixed points see the
+    field q * (1 - 2 * beta), which keeps the opinion's sign iff beta <= 1/2
+    (at beta = 1/2 the opinion shrinks as theta^3 and never changes sign):
+    (1, -1) holds iff also p_max >= p_bar, and (-1, 1) iff p_min <= p_bar.
+    An empty result predicts perpetual switching between the four quadrants.
     """
     p_min, p_max = pollution_bounds(params, n_agents)
     out: set[ActionSpacePoint] = set()
@@ -243,6 +247,10 @@ def fs_action_equilibria(params: ModelParams, n_agents: int) -> set[ActionSpaceP
         out.add(ActionSpacePoint(1, 1))
     if p_min >= params.p_bar:
         out.add(ActionSpacePoint(-1, -1))
+    if params.beta <= 0.5 and p_max >= params.p_bar:
+        out.add(ActionSpacePoint(1, -1))
+    if params.beta <= 0.5 and p_min <= params.p_bar:
+        out.add(ActionSpacePoint(-1, 1))
     return out
 
 
@@ -331,9 +339,9 @@ def write_lattice_grid_csv(trajectory: Trajectory, side: int,
         raise ValueError(
             f"side {side} does not match {trajectory.n_agents} agents"
         )
-    strong_members = {i for rep in reports if rep.strongly_robust for i in rep.members}
-    cells = zip(trajectory.opinions[-1].tolist(), trajectory.actions[-1].tolist())
-    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster", "%d,%d,%.17g,%d,%d", (
-        (*divmod(i, side), theta, action, i in strong_members)
-        for i, (theta, action) in enumerate(cells)
-    ))
+    n = trajectory.n_agents
+    strong = _mask((i for rep in reports if rep.strongly_robust for i in rep.members), n, "member")
+    row, col = np.divmod(np.arange(n), side)
+    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster", "%d,%d,%.17g,%d,%d",
+               zip(row.tolist(), col.tolist(), trajectory.opinions[-1].tolist(),
+                   trajectory.actions[-1].tolist(), strong.tolist()))

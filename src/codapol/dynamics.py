@@ -132,26 +132,19 @@ def _write_csv(path, header: str, fmt: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def quantize_opinion(theta: float, prev_action: int) -> int:
-    """Sign of the opinion; an exact zero keeps the previous action."""
-    if theta > 0.0:
-        return 1
-    if theta < 0.0:
-        return -1
-    return prev_action
+def quantize_opinion(theta: float, prev_action: int) -> np.ndarray:
+    """Sign of the opinion (elementwise; 0-d array on a float); a zero keeps the memory."""
+    return np.where(theta > 0.0, 1, np.where(theta < 0.0, -1, prev_action))
 
 
 def quantize_pollution(p: float, p_bar: float, prev_qp: int) -> int:
-    """Threshold-quantized pollution signal, polarity inverted.
+    """Threshold signal, polarity inverted (elementwise): above p_bar -1, below +1.
 
-    Pollution above the threshold reads -1, below reads +1; exactly at the
-    threshold the previous signal is kept.
+    At the threshold (or NaN) the previous signal is kept.  Comparisons, not
+    ``np.where``, keep a float input in plain Python, with a Python int result.
     """
-    if p > p_bar:
-        return -1
-    if p < p_bar:
-        return 1
-    return prev_qp
+    above, below = p > p_bar, p < p_bar
+    return prev_qp * (above == below) + below - above  # int first: numpy refuses bool - bool
 
 
 def emissions(actions, params: ModelParams) -> np.ndarray:
@@ -159,9 +152,20 @@ def emissions(actions, params: ModelParams) -> np.ndarray:
     return np.where(np.asarray(actions) == 1, params.e_max, params.e_min)
 
 
+def _total_emission(n_plus, n_minus, e_min, e_max):
+    """Total emission of n_plus agents at action 1 and n_minus at -1 (elementwise),
+    by counts, which for equal summands matches the per-agent emission sum."""
+    return n_plus * e_max + n_minus * e_min
+
+
 def step_pollution(p: float, total_emission: float, gamma: float) -> float:
     """One pollution update (elementwise): decay by gamma, then add the total emission."""
     return gamma * p + total_emission
+
+
+def _field(mean, q_p, beta):
+    """Field (1 - beta) * (neighbor mean action) + beta * q_p (elementwise)."""
+    return (1.0 - beta) * mean + beta * q_p
 
 
 def local_field(i: int, actions, q_p: int, graph: Graph, beta: float) -> float:
@@ -170,14 +174,12 @@ def local_field(i: int, actions, q_p: int, graph: Graph, beta: float) -> float:
     (1 - beta) * (n_i_plus - n_i_minus) / n_i + beta * q_p, always in [-1, 1].
     """
     nbrs = graph.neighbors[i]
-    s = sum(int(actions[j]) for j in nbrs)
-    return (1.0 - beta) * (s / len(nbrs)) + beta * q_p
+    return _field(sum(int(actions[j]) for j in nbrs) / len(nbrs), q_p, beta)
 
 
 def local_fields(actions: np.ndarray, q_p: int, graph: Graph, beta: float) -> np.ndarray:
     """Vectorized :func:`local_field` for all agents at once, bitwise identical per agent."""
-    mean = graph.neighbor_mean(np.asarray(actions, dtype=np.int64))
-    return (1.0 - beta) * mean + beta * q_p
+    return _field(graph.neighbor_mean(np.asarray(actions, dtype=np.int64)), q_p, beta)
 
 
 def step_opinion(theta: float, f: float) -> float:
@@ -189,37 +191,22 @@ def step_opinion(theta: float, f: float) -> float:
     return theta + (1.0 - theta * theta) * (f - theta)
 
 
-def _refresh(theta: np.ndarray, p: float, actions: np.ndarray, q_p: int, p_bar: float):
-    """Re-derive actions from opinions and the signal from pollution.
-
-    Idempotent when the state is already consistent; ties (theta exactly 0,
-    p exactly at the threshold) keep the supplied memory values.
-    """
-    q = np.where(theta > 0.0, 1, np.where(theta < 0.0, -1, actions))
-    qp = -1 if p > p_bar else (1 if p < p_bar else q_p)
-    return q, qp
-
-
 def _advance(theta: np.ndarray, q: np.ndarray, p: float, qp: int,
              graph: Graph, params: ModelParams):
     """Advance one tick from a consistent (theta, q, p, qp) tuple.
 
-    The single-run kernel; ``sweep._run_chunk`` is its batched [P, N] form.
-    Both are kept: at P=1, N=20 this takes 27-29 us per tick and the batch
-    49-59 us, as its quantizers run on numpy scalars (5.3 us against 0.12 us
-    in plain Python) and ``count_nonzero(axis=...)`` takes 6.9 us, not 2.3 us.
-
-    The total emission is accumulated as n_plus * e_max + n_minus * e_min
-    (the action-count form), which for equal summands matches the
-    elementwise emission sum.
+    The single-run kernel; ``sweep._run_chunk`` is its batched [P, N] form,
+    and both keep only their loops around the rules above.  Both are kept:
+    at P=1, N=20 this takes 27-29 us per tick and the batch 49-59 us, as the
+    batch quantizes its pollution as an array, not a Python float, and its
+    ``count_nonzero(axis=...)`` takes 6.9 us, not 2.3 us.
     """
-    f = (1.0 - params.beta) * graph.neighbor_mean(q) + params.beta * qp
-    theta_new = step_opinion(theta, f)
     n_plus = int(np.count_nonzero(q == 1))
-    total_e = n_plus * params.e_max + (q.shape[0] - n_plus) * params.e_min
-    p_new = step_pollution(p, total_e, params.gamma)
-    q_new, qp_new = _refresh(theta_new, p_new, q, qp, params.p_bar)
-    return theta_new, q_new, p_new, qp_new
+    theta_new = step_opinion(theta, _field(graph.neighbor_mean(q), qp, params.beta))
+    p_new = step_pollution(p, _total_emission(n_plus, q.shape[0] - n_plus, params.e_min,
+                                              params.e_max), params.gamma)
+    return (theta_new, quantize_opinion(theta_new, q), p_new,
+            quantize_pollution(p_new, params.p_bar, qp))
 
 
 def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
@@ -233,7 +220,8 @@ def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
         raise ValueError(
             f"state has {state.n_agents} agents but graph has {graph.n_agents}"
         )
-    q, qp = _refresh(state.opinions, state.pollution, state.actions, state.q_p, params.p_bar)
+    q = quantize_opinion(state.opinions, state.actions)
+    qp = quantize_pollution(state.pollution, params.p_bar, state.q_p)
     theta_new, q_new, p_new, qp_new = _advance(state.opinions, q, state.pollution, qp, graph, params)
     return SimState(
         opinions=theta_new,
@@ -271,14 +259,15 @@ def initial_state(opinions, pollution: float, params: ModelParams, *,
                   allow_boundary: bool = False) -> SimState:
     """Build a tick-0 state with action memories derived from signs.
 
-    q_i(0) = sign(theta_i(0)) and q_p(0) = -sign(p(0) - p_bar), both
-    well defined because ties are rejected (see :func:`_check_initial`).
+    q_i(0) = sign(theta_i(0)) and q_p(0) = -sign(p(0) - p_bar), from the
+    quantizers with memories -1 and +1, which no tie reaches: ties are
+    rejected (see :func:`_check_initial`).
     """
     theta = np.asarray(opinions, dtype=np.float64).copy()
     _check_initial(theta, pollution, (params.p_bar,), allow_boundary)
-    q = np.where(theta > 0.0, 1, -1).astype(np.int64)
-    qp = -1 if pollution > params.p_bar else 1
-    return SimState(opinions=theta, pollution=float(pollution), actions=q, q_p=qp, tick=0)
+    p = float(pollution)
+    return SimState(opinions=theta, pollution=p, actions=quantize_opinion(theta, -1),
+                    q_p=quantize_pollution(p, params.p_bar, 1), tick=0)
 
 
 def fs_initial_state(theta0: float, n_agents: int, pollution: float,
@@ -316,8 +305,8 @@ def _run(initial: SimState, graph: Graph, params: ModelParams,
     """
     theta = initial.opinions.astype(np.float64, copy=True)
     p = float(initial.pollution)
-    q, qp = _refresh(theta, p, np.asarray(initial.actions, dtype=np.int64), initial.q_p,
-                     params.p_bar)
+    q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int64))
+    qp = quantize_pollution(p, params.p_bar, initial.q_p)
 
     n_rec = len(record_ticks)
     thetas = np.empty((n_rec, graph.n_agents), dtype=np.float64)

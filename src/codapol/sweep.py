@@ -29,7 +29,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .analysis import AttractorClass, classify_states
-from .dynamics import ModelParams, Trajectory, _check_initial, _write_csv, initial_state
+from .dynamics import ModelParams, Trajectory, _check_initial, _field, _total_emission
+from .dynamics import _write_csv, initial_state, quantize_opinion, quantize_pollution
 from .dynamics import random_opinions, simulate, step_opinion, step_pollution
 from .graph import Graph, GraphSpec
 
@@ -94,8 +95,8 @@ class SweepSpec:
         for a, b in zip(grid, grid[1:]):
             if not a < b:
                 raise ValueError("grid values must be strictly increasing")
-        for v in grid:
-            self.params_at(v)  # raises if the substituted value is invalid
+        for v in grid[:1] + grid[-1:]:
+            self.params_at(v)  # each field's valid values form an interval
         if self.transient < 0:
             raise ValueError(f"transient must be nonnegative, got {self.transient}")
         if self.tail < 1:
@@ -152,7 +153,10 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
     """Advance a batch of grid points; returns tail states [P, tail, N] and [P, tail].
 
     The batched form of ``dynamics._advance``, which stays for single runs:
-    at P=1, N=20 it takes 27-29 us per tick against 49-59 us here.
+    at P=1, N=20 it takes 27-29 us per tick against 49-59 us here.  Both keep
+    only their loops around the same rules.  The swept parameter is a column
+    of P values, the others scalars.  Tick 0 quantizes with memories -1 and
+    +1, which no tie reaches, since ``_check_initial`` rejects ties.
 
     Each column stands for a class of ``mult`` agents.  A fully synchronized
     start (on a complete graph, as ``_start`` requires) is one column with
@@ -161,14 +165,10 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
     agents.  Every other start keeps its N columns with multiplicity 1 and
     takes its means from ``graph.neighbor_mean``.
     """
-    n_pts = len(values)
-    n = graph.n_agents
-    plist = [spec.params_at(v) for v in values]
-    beta = np.array([pp.beta for pp in plist])[:, None]
-    gamma = np.array([pp.gamma for pp in plist])
-    e_min = np.array([pp.e_min for pp in plist])
-    e_max = np.array([pp.e_max for pp in plist])
-    p_bar = np.array([pp.p_bar for pp in plist])
+    n_pts, n = len(values), graph.n_agents
+    par = {**vars(spec.base_params), spec.swept_param: np.array(values)}
+    gamma, e_min, e_max, p_bar = (par[k] for k in ("gamma", "e_min", "e_max", "p_bar"))
+    beta = np.reshape(par["beta"], (-1, 1))
 
     if isinstance(spec.initial, FSInit):
         opinions0, mult = opinions0[:1], n
@@ -178,22 +178,18 @@ def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
 
     theta = np.tile(opinions0, (n_pts, 1))
     p = np.full(n_pts, spec.initial.p0, dtype=np.float64)
-    q = np.where(theta > 0.0, 1, -1)
-    qp = np.where(p > p_bar, -1, 1)
+    q = quantize_opinion(theta, -1)
+    qp = quantize_pollution(p, p_bar, 1)
 
     tail_theta = np.empty((n_pts, spec.tail, len(opinions0)), dtype=np.float64)
     tail_p = np.empty((n_pts, spec.tail), dtype=np.float64)
 
     total_steps = spec.transient + spec.tail
     for k in range(total_steps):
-        f = (1.0 - beta) * neighbor_mean(q) + beta * qp[:, None]
-        theta_new = step_opinion(theta, f)
         n_plus = np.count_nonzero(q == 1, axis=1) * mult
-        total_e = n_plus * e_max + (n - n_plus) * e_min
-        p_new = step_pollution(p, total_e, gamma)
-        q = np.where(theta_new > 0.0, 1, np.where(theta_new < 0.0, -1, q))
-        qp = np.where(p_new > p_bar, -1, np.where(p_new < p_bar, 1, qp))
-        theta, p = theta_new, p_new
+        theta = step_opinion(theta, _field(neighbor_mean(q), qp[:, None], beta))
+        p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
+        q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
         if k >= spec.transient:
             j = k - spec.transient
             tail_theta[:, j, :] = theta
@@ -239,7 +235,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     if not spec.grid:
         return []
     graph, opinions0 = _start(spec)
-    _check_initial(opinions0, spec.initial.p0, [spec.params_at(v).p_bar for v in spec.grid])
+    p_bars = spec.grid if spec.swept_param == "p_bar" else (spec.base_params.p_bar,)
+    _check_initial(opinions0, spec.initial.p0, p_bars)
     chunks = [c.tolist() for c in np.array_split(spec.grid, min(threads, len(spec.grid)))]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         tails = list(pool.map(lambda vals: _run_chunk(spec, graph, opinions0, vals), chunks))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -445,8 +446,29 @@ class TestClustersAgainstLoopOracles:
 
 
 class TestFsActionEquilibria:
-    def test_threshold_inside_corridor_predicts_switching(self):
-        assert fs_action_equilibria(BASE, 20) == set()
+    @pytest.mark.parametrize("beta, expected", [
+        pytest.param(0.45, {ActionSpacePoint(1, -1), ActionSpacePoint(-1, 1)}, id="beta0.45"),
+        pytest.param(0.75, set(), id="beta0.75"),
+    ])
+    def test_threshold_inside_corridor_predicts_switching(self, beta, expected):
+        # p_min < p_bar < p_max: neither same-sign point holds, and the mixed
+        # points hold exactly when their field q * (1 - 2 beta) keeps q's sign
+        assert fs_action_equilibria(replace(BASE, beta=beta), 20) == expected
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.501, 0.8])
+    def test_prediction_matches_synchronized_runs(self, beta):
+        # a synchronized run started in (q, q_p) stays there for 200 ticks
+        # exactly when that point is predicted; p_bar = 0 and 40 are p_min and
+        # p_max, where the pollution meets the threshold and the memory holds
+        g = complete_graph(20)
+        for p_bar in (-10.0, 0.0, 15.0, 40.0, 100.0):
+            params = replace(BASE, beta=beta, p_bar=p_bar)
+            predicted = fs_action_equilibria(params, 20)
+            for q, q_p, size in itertools.product((1, -1), (1, -1), (0.01, 0.9)):
+                state = fs_initial_state(size * q, 20, p_bar - 0.5 * q_p, params)
+                traj = simulate(state, g, params, 200)
+                stays = bool((traj.actions == q).all() and (traj.q_p == q_p).all())
+                assert stays == ((q, q_p) in predicted), (p_bar, q, q_p, size)
 
     def test_high_threshold_admits_unanimous_positive(self):
         params = ModelParams(beta=0.75, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=50.0)
@@ -457,6 +479,7 @@ class TestFsActionEquilibria:
         assert fs_action_equilibria(params, 20) == {ActionSpacePoint(-1, -1)}
 
     def test_mixed_points_never_returned(self):
+        # beta > 1/2: the field q * (1 - 2 beta) flips a mixed point's opinion
         for p_bar in (-10.0, 0.0, 15.0, 40.0, 100.0):
             params = ModelParams(beta=0.8, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=p_bar)
             for point in fs_action_equilibria(params, 20):

@@ -91,16 +91,29 @@ class TestQuantizers:
         assert quantize_opinion(0.0, -1) == -1
         assert quantize_opinion(-0.2, 1) == -1
         assert quantize_opinion(0.0, 1) == 1
+        theta = np.array([0.3, 0.0, -0.0, -0.2, 0.0, -0.0])
+        for dtype in (np.int8, np.int64):
+            prev = np.array([-1, -1, 1, 1, 1, -1], dtype=dtype)
+            q = quantize_opinion(theta, prev)
+            assert q.dtype == dtype and q.tolist() == [1, -1, 1, -1, 1, -1]
 
     def test_pollution_examples(self):
         assert quantize_pollution(100.0, 15.0, 1) == -1
         assert quantize_pollution(15.0, 15.0, 1) == 1
         assert quantize_pollution(15.0, 15.0, -1) == -1
         assert quantize_pollution(10.0, 15.0, -1) == 1
+        assert quantize_pollution(math.nan, 15.0, -1) == -1
+        assert type(quantize_pollution(15.0, 15.0, -1)) is int
+        assert type(quantize_pollution(100.0, 15.0, 1)) is int
+        p = np.array([100.0, 15.0, 15.0, 10.0, np.nan, np.nan])
+        prev = np.array([1, 1, -1, -1, 1, -1])
+        for p_bar in (15.0, np.full(6, 15.0)):
+            assert quantize_pollution(p, p_bar, prev).tolist() == [-1, 1, -1, 1, 1, -1]
 
     @given(theta=st.floats(-1, 1), prev=st.sampled_from([-1, 1]))
     def test_opinion_sign_dominates_memory(self, theta, prev):
         q = quantize_opinion(theta, prev)
+        assert quantize_opinion(np.array([theta]), np.array([prev])).tolist() == [q]
         if theta > 0:
             assert q == 1
         elif theta < 0:
@@ -111,6 +124,7 @@ class TestQuantizers:
     @given(p=st.floats(-100, 100), p_bar=st.floats(-50, 50), prev=st.sampled_from([-1, 1]))
     def test_pollution_polarity_inverted(self, p, p_bar, prev):
         q = quantize_pollution(p, p_bar, prev)
+        assert quantize_pollution(np.array([p]), p_bar, np.array([prev])).tolist() == [q]
         if p > p_bar:
             assert q == -1
         elif p < p_bar:
