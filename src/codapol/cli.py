@@ -120,9 +120,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
     elif cfg.command == "classify":
         graph, state0 = _start_state(cfg)
         tail = range(cfg.transient + 1, cfg.transient + cfg.tail + 1)
-        tail_theta, tail_p, _, _ = _run(state0, graph, cfg.params, tail)
+        tail_theta, tail_p, _, _ = _run(state0, graph, vars(cfg.params), tail)
         attractor = classify_states(
-            tail_theta, tail_p, tol=cfg.tol, max_period=cfg.max_period,
+            tail_theta[0], tail_p[0], tol=cfg.tol, max_period=cfg.max_period,
         )
         path = out_dir / "classification.csv"
         period = attractor.period if attractor.kind == "cycle" else ""

@@ -75,7 +75,12 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots of a simulation, at a fixed stride plus the final tick."""
+    """Recorded snapshots of a simulation, at a fixed stride plus the final tick.
+
+    The arrays are stored as read-only views, as a fully synchronized run
+    records one column and broadcasts it to every agent; :meth:`state_at`
+    gives writable copies.
+    """
 
     params: ModelParams
     graph: Graph
@@ -85,6 +90,12 @@ class Trajectory:
     pollution: np.ndarray  # float64[S]
     actions: np.ndarray  # int8[S, N]
     q_p: np.ndarray  # int8[S]
+
+    def __post_init__(self):
+        for name in ("ticks", "opinions", "pollution", "actions", "q_p"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     @property
     def n_snapshots(self) -> int:
@@ -132,9 +143,14 @@ def _write_csv(path, header: str, fmt: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def quantize_opinion(theta: float, prev_action: int) -> np.ndarray:
-    """Sign of the opinion (elementwise; 0-d array on a float); a zero keeps the memory."""
-    return np.where(theta > 0.0, 1, np.where(theta < 0.0, -1, prev_action))
+def quantize_opinion(theta: float, prev_action: int) -> int:
+    """Sign of the opinion (elementwise); a zero, or NaN, keeps the memory.
+
+    In the comparison form of :func:`quantize_pollution`: a float and an int
+    give a Python int, and an array result has the dtype of an array memory.
+    """
+    pos, neg = theta > 0.0, theta < 0.0
+    return prev_action * (pos == neg) + pos - neg
 
 
 def quantize_pollution(p: float, p_bar: float, prev_qp: int) -> int:
@@ -185,28 +201,10 @@ def local_fields(actions: np.ndarray, q_p: int, graph: Graph, beta: float) -> np
 def step_opinion(theta: float, f: float) -> float:
     """One opinion update: theta + (1 - theta^2) * (f - theta).
 
-    The result stays in [-1, 1]; opinions at exactly +-1 never move.  Both
-    kernels call it on whole arrays.
+    The result stays in [-1, 1]; opinions at exactly +-1 never move.  The
+    run loop calls it on a Python float or on whole arrays.
     """
     return theta + (1.0 - theta * theta) * (f - theta)
-
-
-def _advance(theta: np.ndarray, q: np.ndarray, p: float, qp: int,
-             graph: Graph, params: ModelParams):
-    """Advance one tick from a consistent (theta, q, p, qp) tuple.
-
-    The single-run kernel; ``sweep._run_chunk`` is its batched [P, N] form,
-    and both keep only their loops around the rules above.  Both are kept:
-    at P=1, N=20 this takes 27-29 us per tick and the batch 49-59 us, as the
-    batch quantizes its pollution as an array, not a Python float, and its
-    ``count_nonzero(axis=...)`` takes 6.9 us, not 2.3 us.
-    """
-    n_plus = int(np.count_nonzero(q == 1))
-    theta_new = step_opinion(theta, _field(graph.neighbor_mean(q), qp, params.beta))
-    p_new = step_pollution(p, _total_emission(n_plus, q.shape[0] - n_plus, params.e_min,
-                                              params.e_max), params.gamma)
-    return (theta_new, quantize_opinion(theta_new, q), p_new,
-            quantize_pollution(p_new, params.p_bar, qp))
 
 
 def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
@@ -220,14 +218,12 @@ def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
         raise ValueError(
             f"state has {state.n_agents} agents but graph has {graph.n_agents}"
         )
-    q = quantize_opinion(state.opinions, state.actions)
-    qp = quantize_pollution(state.pollution, params.p_bar, state.q_p)
-    theta_new, q_new, p_new, qp_new = _advance(state.opinions, q, state.pollution, qp, graph, params)
+    thetas, ps, qs, qps = _run(state, graph, vars(params), [1])
     return SimState(
-        opinions=theta_new,
-        pollution=p_new,
-        actions=q_new,
-        q_p=qp_new,
+        opinions=thetas[0, 0].copy(),
+        pollution=float(ps[0, 0]),
+        actions=qs[0, 0].astype(np.int64),
+        q_p=int(qps[0, 0]),
         tick=state.tick + 1,
     )
 
@@ -286,6 +282,10 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     generator keyed by ``seed``, so the result depends only on (seed, i).
     Draws of exactly 0 or -1 are rejected and redrawn within the block.
     """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    if n_agents < 0:
+        raise ValueError(f"n_agents must be nonnegative, got {n_agents}")
     out = np.empty(n_agents, dtype=np.float64)
     for i in range(n_agents):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
@@ -296,34 +296,68 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     return out
 
 
-def _run(initial: SimState, graph: Graph, params: ModelParams,
+def _run(initial: SimState, graph: Graph, par: dict,
          record_ticks: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Advance ``initial`` after refreshing its memories, recording at ``record_ticks``.
 
-    The ticks are strictly increasing counts from ``initial``.  Returns
-    opinions [S, N], pollution [S], actions int8 [S, N] and q_p int8 [S].
-    """
-    theta = initial.opinions.astype(np.float64, copy=True)
-    p = float(initial.pollution)
-    q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int64))
-    qp = quantize_pollution(p, params.p_bar, initial.q_p)
+    The one run loop: ``simulate``, ``step``, the CLI ``classify`` command
+    and ``run_sweep`` call it.  ``par`` maps each ``ModelParams`` field to a
+    scalar or a column of P values; the ticks are strictly increasing counts
+    from ``initial``.  Returns opinions [P, S, N], pollution [P, S], actions
+    int8 [P, S, N] and q_p int8 [P, S].
 
-    n_rec = len(record_ticks)
-    thetas = np.empty((n_rec, graph.n_agents), dtype=np.float64)
-    ps = np.empty(n_rec, dtype=np.float64)
-    qs = np.empty((n_rec, graph.n_agents), dtype=np.int8)
-    qps = np.empty(n_rec, dtype=np.int8)
+    On a complete graph (n (n - 1) edges, which ``Graph`` keeps distinct and
+    loop-free) a state with equal opinions and memories stays so bit for bit,
+    as every neighbor mean is (n - 1) q / (n - 1) = q exactly.  Such a run
+    advances one column for all n agents (the FS quotient), with the identity
+    as its neighbor mean, and broadcasts its record back.  A single point
+    keeps pollution, params, action count and an FS opinion as Python
+    scalars, which the elementwise rules take at a fraction of numpy's
+    per-call cost; P points run as a [P, C] state with [P, 1] columns.
+    """
+    n = graph.n_agents
+    n_pts = max(np.size(v) for v in par.values())
+    p = float(initial.pollution)
+    if n_pts == 1:
+        par = {k: np.asarray(v).item() for k, v in par.items()}
+    else:
+        par = {k: np.reshape(v, (-1, 1)) for k, v in par.items()}
+        p = np.full((n_pts, 1), p)
+    beta, gamma, e_min, e_max, p_bar = (par[k] for k in ("beta", "gamma", "e_min", "e_max", "p_bar"))
+    theta = np.asarray(initial.opinions, dtype=np.float64)
+    q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int64))
+    qp = quantize_pollution(p, p_bar, initial.q_p)
+
+    fs = graph.n_edges == n * (n - 1) and (theta == theta[0]).all() and (q == q[0]).all()
+    if fs:
+        theta, q = theta[:1], q[:1]
+        neighbor_mean, count_plus = (lambda q: q), (lambda q: n * (q == 1))
+    elif n_pts == 1:
+        neighbor_mean, count_plus = graph.neighbor_mean, lambda q: int(np.count_nonzero(q == 1))
+    else:
+        neighbor_mean, count_plus = graph.neighbor_mean, lambda q: np.count_nonzero(
+            q == 1, axis=1, keepdims=True)
+    if n_pts > 1:
+        theta, q = np.tile(theta, (n_pts, 1)), np.tile(q, (n_pts, 1))
+    elif fs:
+        theta, q = theta.item(), q.item()
+
+    shape = (n_pts, len(record_ticks), 1 if fs else n)
+    thetas, qs = np.empty(shape), np.empty(shape, dtype=np.int8)
+    ps, qps = np.empty(shape[:2] + (1,)), np.empty(shape[:2] + (1,), dtype=np.int8)
+    rec_theta, rec_p, rec_q, rec_qp = (a.swapaxes(0, 1) for a in (thetas, ps, qs, qps))  # [S, P, .]
 
     k = 0
     for rec, tick in enumerate(record_ticks):
         for _ in range(tick - k):
-            theta, q, p, qp = _advance(theta, q, p, qp, graph, params)
+            n_plus = count_plus(q)
+            theta = step_opinion(theta, _field(neighbor_mean(q), qp, beta))
+            p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
+            q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
         k = tick
-        thetas[rec] = theta
-        ps[rec] = p
-        qs[rec] = q
-        qps[rec] = qp
-    return thetas, ps, qs, qps
+        rec_theta[rec], rec_p[rec], rec_q[rec], rec_qp[rec] = theta, p, q, qp
+    full = shape[:2] + (n,)
+    return np.broadcast_to(thetas, full), ps[..., 0], np.broadcast_to(qs, full), qps[..., 0]
 
 
 def simulate(initial: SimState, graph: Graph, params: ModelParams,
@@ -344,14 +378,14 @@ def simulate(initial: SimState, graph: Graph, params: ModelParams,
     _check_initial(initial.opinions, initial.pollution, (params.p_bar,), allow_boundary)
 
     record_ticks = sorted({*range(0, n_steps, stride), n_steps})
-    thetas, ps, qs, qps = _run(initial, graph, params, record_ticks)
+    thetas, ps, qs, qps = _run(initial, graph, vars(params), record_ticks)
     return Trajectory(
         params=params,
         graph=graph,
         recording_stride=stride,
         ticks=np.array(record_ticks, dtype=np.int64),
-        opinions=thetas,
-        pollution=ps,
-        actions=qs,
-        q_p=qps,
+        opinions=thetas[0],
+        pollution=ps[0],
+        actions=qs[0],
+        q_p=qps[0],
     )

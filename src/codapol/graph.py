@@ -24,7 +24,7 @@ class Graph:
     arrays are stored as read-only int64 copies.  Every agent must have at
     least one neighbor because the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
-    No other module reads the CSR arrays: kernels take neighbor averages
+    No other module reads the CSR arrays: the run loop takes neighbor averages
     from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal` and
     :meth:`components`, and only ``local_field`` and tests use :attr:`neighbors`.
     """

@@ -1,21 +1,15 @@
 """Parameter sweeps: bifurcation datasets and attractor galleries.
 
 Grid points are independent experiments sharing one graph and one initial
-state.  For throughput the sweep engine advances many grid points in one
-vectorized batch; every elementwise operation matches the single-run engine
-in :mod:`codapol.dynamics`, so batch results are bitwise identical to
-running each point alone, regardless of chunking or thread count.
-
-A fully synchronized start on a complete graph stays synchronized bit for
-bit: every agent's neighbors all hold its own action q, so its neighbor
-mean is q itself, +-1.0 exactly, and every agent takes the same update.
-The batch therefore advances such a sweep as one column standing for all n
-agents (the FS quotient), with the identity as its neighbor mean, at O(P)
-per tick instead of O(P N), and broadcasts it back to N agents, so every
-row and attractor vector keeps length N and the same bytes.
-
-The gallery runs single points through :func:`codapol.dynamics.simulate`,
-whose scalar kernel is the faster one at P=1 (see ``dynamics._advance``).
+state.  For throughput a sweep advances many grid points as one [P, N]
+batch through ``dynamics._run``, the run loop single runs share, with the
+swept parameter as a column of P values.  Every operation is elementwise per
+point, so batch results are bitwise identical to running each point alone,
+regardless of chunking or thread count.  A fully synchronized start, which
+``FSInit`` admits only on a complete graph, takes the loop's FS quotient:
+one column stands for all n agents, at O(P) per tick instead of O(P N), and
+is broadcast back, so every row and attractor vector keeps length N and the
+same bytes.
 """
 
 from __future__ import annotations
@@ -29,9 +23,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .analysis import AttractorClass, classify_states
-from .dynamics import ModelParams, Trajectory, _check_initial, _field, _total_emission
-from .dynamics import _write_csv, initial_state, quantize_opinion, quantize_pollution
-from .dynamics import random_opinions, simulate, step_opinion, step_pollution
+from .dynamics import ModelParams, SimState, Trajectory, _check_initial, _run, _write_csv
+from .dynamics import initial_state, quantize_opinion, random_opinions, simulate
 from .graph import Graph, GraphSpec
 
 
@@ -60,8 +53,8 @@ class RandomInit:
     p0: float
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if not math.isfinite(self.p0):
             raise ValueError(f"p0 must be finite, got {self.p0}")
 
@@ -148,55 +141,6 @@ def _start(spec: SweepSpec) -> tuple[Graph, np.ndarray]:
     return graph, _initial_opinions(spec.initial, graph.n_agents)
 
 
-def _run_chunk(spec: SweepSpec, graph: Graph, opinions0: np.ndarray,
-               values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of grid points; returns tail states [P, tail, N] and [P, tail].
-
-    The batched form of ``dynamics._advance``, which stays for single runs:
-    at P=1, N=20 it takes 27-29 us per tick against 49-59 us here.  Both keep
-    only their loops around the same rules.  The swept parameter is a column
-    of P values, the others scalars.  Tick 0 quantizes with memories -1 and
-    +1, which no tie reaches, since ``_check_initial`` rejects ties.
-
-    Each column stands for a class of ``mult`` agents.  A fully synchronized
-    start (on a complete graph, as ``_start`` requires) is one column with
-    multiplicity n whose neighbor mean is its own action, exactly the +-1.0
-    every agent of the full state sees; the tail is broadcast back to N
-    agents.  Every other start keeps its N columns with multiplicity 1 and
-    takes its means from ``graph.neighbor_mean``.
-    """
-    n_pts, n = len(values), graph.n_agents
-    par = {**vars(spec.base_params), spec.swept_param: np.array(values)}
-    gamma, e_min, e_max, p_bar = (par[k] for k in ("gamma", "e_min", "e_max", "p_bar"))
-    beta = np.reshape(par["beta"], (-1, 1))
-
-    if isinstance(spec.initial, FSInit):
-        opinions0, mult = opinions0[:1], n
-        neighbor_mean = lambda q: q  # each agent's neighbors all hold its own action
-    else:
-        mult, neighbor_mean = 1, graph.neighbor_mean
-
-    theta = np.tile(opinions0, (n_pts, 1))
-    p = np.full(n_pts, spec.initial.p0, dtype=np.float64)
-    q = quantize_opinion(theta, -1)
-    qp = quantize_pollution(p, p_bar, 1)
-
-    tail_theta = np.empty((n_pts, spec.tail, len(opinions0)), dtype=np.float64)
-    tail_p = np.empty((n_pts, spec.tail), dtype=np.float64)
-
-    total_steps = spec.transient + spec.tail
-    for k in range(total_steps):
-        n_plus = np.count_nonzero(q == 1, axis=1) * mult
-        theta = step_opinion(theta, _field(neighbor_mean(q), qp[:, None], beta))
-        p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
-        q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
-        if k >= spec.transient:
-            j = k - spec.transient
-            tail_theta[:, j, :] = theta
-            tail_p[:, j] = p
-    return np.broadcast_to(tail_theta, (n_pts, spec.tail, n)), tail_p
-
-
 def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
                      tail_theta: np.ndarray, tail_p: np.ndarray) -> list[SweepRow]:
     rows = []
@@ -237,12 +181,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     graph, opinions0 = _start(spec)
     p_bars = spec.grid if spec.swept_param == "p_bar" else (spec.base_params.p_bar,)
     _check_initial(opinions0, spec.initial.p0, p_bars)
+    # tick-0 memories -1 and +1 reach no tie, since _check_initial rejects ties
+    start = SimState(opinions0, spec.initial.p0, quantize_opinion(opinions0, -1), 1)
+    tail = range(spec.transient + 1, spec.transient + spec.tail + 1)
     chunks = [c.tolist() for c in np.array_split(spec.grid, min(threads, len(spec.grid)))]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        tails = list(pool.map(lambda vals: _run_chunk(spec, graph, opinions0, vals), chunks))
+        tails = list(pool.map(lambda vals: _run(
+            start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail), chunks))
     # classify on the calling thread: a tracer wrapping classify_states sees run_sweep as caller
     rows: list[SweepRow] = []
-    for vals, (tth, tp) in zip(chunks, tails):
+    for vals, (tth, tp, _, _) in zip(chunks, tails):
         rows.extend(_rows_from_tails(spec, vals, tth, tp))
     return rows
 

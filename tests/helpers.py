@@ -133,6 +133,52 @@ def count_trichotomy_violations(traj, graph, beta, eq_tol=1e-12):
     return violations
 
 
+def run_loop(state, graph, params, n_steps):
+    """Reference run, agent by agent in Python floats, recording every tick.
+
+    Refreshes the memories of ``state`` from its opinions and pollution, then
+    applies the model's rules as written: each opinion moves toward the field
+    (1 - beta) * (neighbor action sum / n_i) + beta * q_p, with the sum taken
+    over ``graph.neighbors``; the pollution decays by gamma and gains
+    n_plus * e_max + n_minus * e_min; both quantizers keep their memory at a
+    tie.  Returns opinions [S, N], pollution [S], actions int8 [S, N] and q_p
+    int8 [S] for ticks 0 to ``n_steps``.
+    """
+    def sign(theta, prev):
+        return 1 if theta > 0.0 else (-1 if theta < 0.0 else prev)
+
+    def signal(p, prev):
+        return -1 if p > params.p_bar else (1 if p < params.p_bar else prev)
+
+    n = graph.n_agents
+    theta = [float(x) for x in state.opinions]
+    q = [sign(t, int(a)) for t, a in zip(theta, state.actions)]
+    p = float(state.pollution)
+    qp = signal(p, int(state.q_p))
+    thetas, ps, qs, qps = [theta], [p], [q], [qp]
+    for _ in range(n_steps):
+        n_plus = sum(1 for a in q if a == 1)
+        total = n_plus * params.e_max + (n - n_plus) * params.e_min
+        new_theta = []
+        for i in range(n):
+            ssum = 0
+            for j in graph.neighbors[i]:
+                ssum += q[j]
+            f = (1.0 - params.beta) * (ssum / len(graph.neighbors[i])) + params.beta * qp
+            th = theta[i]
+            new_theta.append(th + (1.0 - th * th) * (f - th))
+        p = params.gamma * p + total
+        theta = new_theta
+        q = [sign(t, a) for t, a in zip(theta, q)]
+        qp = signal(p, qp)
+        thetas.append(theta)
+        ps.append(p)
+        qs.append(q)
+        qps.append(qp)
+    return (np.array(thetas, dtype=np.float64), np.array(ps, dtype=np.float64),
+            np.array(qs, dtype=np.int8), np.array(qps, dtype=np.int8))
+
+
 def count_preservation_violations(traj, graph, beta):
     """Violations of action preservation under a favorable field sign.
 

@@ -30,6 +30,7 @@ from helpers import (
     count_preservation_violations,
     count_trichotomy_violations,
     is_rounding_event,
+    run_loop,
     write_trajectory_csv_per_row,
 )
 
@@ -109,6 +110,22 @@ class TestQuantizers:
         prev = np.array([1, 1, -1, -1, 1, -1])
         for p_bar in (15.0, np.full(6, 15.0)):
             assert quantize_pollution(p, p_bar, prev).tolist() == [-1, 1, -1, 1, 1, -1]
+
+    def test_opinion_on_floats_gives_python_ints(self):
+        for theta in (0.3, 0.0, -0.0, -0.2, math.nan):
+            for prev in (-1, 1):
+                assert type(quantize_opinion(theta, prev)) is int
+
+    def test_opinion_matches_where_form(self):
+        theta = np.array([0.0, -0.0, math.nan, 1e-300, -1e-300, 0.5, -1.0])
+        for dtype in (np.int8, np.int64):
+            for memory in (-1, 1):
+                prev = np.full(theta.shape, memory, dtype=dtype)
+                want = np.where(theta > 0.0, 1, np.where(theta < 0.0, -1, prev))
+                got = quantize_opinion(theta, prev)
+                assert got.dtype == want.dtype == dtype
+                assert got.tolist() == want.tolist()
+                assert [quantize_opinion(t, memory) for t in theta.tolist()] == want.tolist()
 
     @given(theta=st.floats(-1, 1), prev=st.sampled_from([-1, 1]))
     def test_opinion_sign_dominates_memory(self, theta, prev):
@@ -460,9 +477,20 @@ class TestSimulate:
         g = complete_graph(7)
         params = ModelParams(beta=0.7, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
         s0 = fs_initial_state(0.4, 7, 100.0, params)
-        traj = simulate(s0, g, params, 400)
-        for s in range(traj.n_snapshots):
-            assert np.all(traj.opinions[s] == traj.opinions[s, 0])
+        thetas, _, _, _ = run_loop(s0, g, params, 400)
+        assert (thetas == thetas[:, :1]).all()
+        assert simulate(s0, g, params, 400).opinions.tobytes() == thetas.tobytes()
+
+    @pytest.mark.parametrize("fs", [True, False], ids=["fs", "random"])
+    def test_trajectory_arrays_read_only(self, fs):
+        opinions = [0.4] * 5 if fs else [0.4, -0.3, 0.2, 0.1, -0.5]
+        traj = simulate(initial_state(opinions, 100.0, BASE), complete_graph(5), BASE, 5)
+        for name in ("ticks", "opinions", "pollution", "actions", "q_p"):
+            arr = getattr(traj, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1] = arr[0]
+        state = traj.state_at(2)
+        state.opinions[0], state.actions[0] = 0.1, -1
 
 
 class TestRandomOpinions:
@@ -480,6 +508,19 @@ class TestRandomOpinions:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(random_opinions(1, 10), random_opinions(2, 10))
+
+    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
+            random_opinions(seed, 3)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert random_opinions(seed, 2).shape == (2,)
+
+    def test_negative_agent_count_rejected(self):
+        with pytest.raises(ValueError, match="n_agents must be nonnegative, got -1"):
+            random_opinions(7, -1)
 
 
 class TestTrajectoryCsv:

@@ -10,12 +10,21 @@ from hypothesis import strategies as st
 from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, classify_states
 from codapol.dynamics import (
     ModelParams,
+    SimState,
     fs_initial_state,
     initial_state,
     random_opinions,
     simulate,
+    step,
 )
-from codapol.graph import GraphSpec
+from codapol.graph import (
+    Graph,
+    GraphSpec,
+    complete_graph,
+    parse_edge_list,
+    random_graph,
+    square_lattice,
+)
 from codapol.sweep import (
     SWEEPABLE,
     FSInit,
@@ -33,6 +42,7 @@ from helpers import (
     SPECIAL_FLOATS,
     attractor_bytes,
     brute_force_period,
+    run_loop,
     write_bifurcation_csv_per_row,
     write_gallery_csv_per_row,
 )
@@ -114,9 +124,9 @@ class TestInitSpecs:
         with pytest.raises(ValueError, match="p0 must be finite"):
             RandomInit(seed=9, p0=p0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_random_init_rejects_seed_out_of_range(self, seed):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             RandomInit(seed=seed, p0=100.0)
 
     def test_random_init_accepts_seed_range_ends(self):
@@ -180,11 +190,9 @@ class TestRunSweep:
         for row in rows:
             params = spec.params_at(row.param_value)
             s0 = fs_initial_state(0.4, 20, 100.0, params)
-            traj = simulate(s0, graph, params, spec.transient + spec.tail, stride=1)
-            assert np.array_equal(row.opinion_samples,
-                                  traj.opinions[spec.transient + 1:, 0])
-            assert np.array_equal(row.p_samples,
-                                  traj.pollution[spec.transient + 1:])
+            thetas, ps, _, _ = run_loop(s0, graph, params, spec.transient + spec.tail)
+            assert np.array_equal(row.opinion_samples, thetas[spec.transient + 1:, 0])
+            assert np.array_equal(row.p_samples, ps[spec.transient + 1:])
 
     @pytest.mark.parametrize("graph_spec", [
         GraphSpec(kind="lattice", side=4),
@@ -269,21 +277,50 @@ class TestRunSweep:
 
 
 def assert_rows_match_full_runs(spec, threads):
-    """Every FS sweep row equals simulate + classify_states on all N agents, bitwise."""
+    """Every FS sweep row equals the per-agent reference run + classify_states, bitwise."""
     rows = run_sweep(spec, threads=threads)
     assert [row.param_value for row in rows] == list(spec.grid)
     graph = spec.graph_spec.build()
     for row in rows:
         params = spec.params_at(row.param_value)
         s0 = fs_initial_state(spec.initial.theta0, graph.n_agents, spec.initial.p0, params)
-        traj = simulate(s0, graph, params, spec.transient + spec.tail, stride=1)
-        tail_theta = traj.opinions[spec.transient + 1:]
-        tail_p = traj.pollution[spec.transient + 1:]
+        thetas, ps, _, _ = run_loop(s0, graph, params, spec.transient + spec.tail)
+        tail_theta = thetas[spec.transient + 1:]
+        tail_p = ps[spec.transient + 1:]
         assert row.opinion_samples.tobytes() == tail_theta[:, 0].tobytes()
         assert row.p_samples.tobytes() == tail_p.tobytes()
         want = classify_states(tail_theta, tail_p, tol=spec.tol, max_period=spec.max_period)
         assert attractor_bytes(row.attractor) == attractor_bytes(want)
     return rows
+
+
+def assert_single_runs_match_loop(s0, graph, params, n_steps):
+    """simulate, and step repeated, equal the per-agent reference run byte for byte."""
+    want = run_loop(s0, graph, params, n_steps)
+    traj = simulate(s0, graph, params, n_steps, allow_boundary=True)
+    for got, ref in zip((traj.opinions, traj.pollution, traj.actions, traj.q_p), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    state = s0
+    for k in range(1, n_steps + 1):
+        state = step(state, graph, params)
+        assert state.opinions.tobytes() == want[0][k].tobytes()
+        assert type(state.pollution) is float and state.pollution == want[1][k]
+        assert state.actions.dtype == np.int64 and state.actions.tolist() == want[2][k].tolist()
+        assert type(state.q_p) is int and state.q_p == want[3][k]
+
+
+def neighbor_mean_calls(monkeypatch):
+    """Record each ``Graph.neighbor_mean`` call; the FS quotient makes none."""
+    calls = []
+    original = Graph.neighbor_mean
+
+    def counted(self, q):
+        calls.append(q.shape)
+        return original(self, q)
+
+    monkeypatch.setattr(Graph, "neighbor_mean", counted)
+    return calls
 
 
 SWEPT_VALUES = {
@@ -294,7 +331,8 @@ SWEPT_VALUES = {
 
 
 class TestFsQuotient:
-    """The one-column FS sweep equals the full N-agent state, bit for bit."""
+    """The one-column FS quotient, in sweeps and single runs, equals the full
+    N-agent state of the reference run, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -323,6 +361,63 @@ class TestFsQuotient:
         assert traj.pollution[54] == 40.0
         rows = assert_rows_match_full_runs(spec, threads)
         assert rows[1].attractor.kind == "fixed"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_single_runs(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        params = ModelParams(
+            beta=data.draw(SWEPT_VALUES["beta"], label="beta"),
+            gamma=data.draw(SWEPT_VALUES["gamma"], label="gamma"),
+            e_min=0.0, e_max=1.0,
+            p_bar=data.draw(SWEPT_VALUES["p_bar"], label="p_bar"),
+        )
+        theta0 = data.draw(st.sampled_from([0.4, -0.999999, 1e-300, 1.0, -1.0]), label="theta0")
+        n_steps = data.draw(st.integers(0, 300), label="n_steps")
+        s0 = fs_initial_state(theta0, n, 100.0, params, allow_boundary=True)
+        assert_single_runs_match_loop(s0, complete_graph(n), params, n_steps)
+
+    def test_single_run_threshold_tie(self):
+        # the tie of test_threshold_tie_grid, in a single run: q_p keeps its memory
+        params = ModelParams(0.45, 0.5, 0.0, 1.0, 40.0)
+        s0 = fs_initial_state(0.4, 20, 100.0, params)
+        assert run_loop(s0, complete_graph(20), params, 60)[1][54] == 40.0
+        assert_single_runs_match_loop(s0, complete_graph(20), params, 60)
+
+    @pytest.mark.parametrize("graph", [
+        random_graph(9, 1.0, seed=4),
+        parse_edge_list("N 5 directed=1\n" + "".join(
+            f"{i} {j}\n" for i in range(5) for j in range(5) if i != j)),
+    ], ids=["random-p1", "directed-edge-list"])
+    def test_complete_graphs_take_the_quotient(self, graph, monkeypatch):
+        assert graph.n_edges == graph.n_agents * (graph.n_agents - 1)
+        params = ModelParams(0.52, 0.5, 0.0, 1.0, 0.25 * graph.n_agents)
+        calls = neighbor_mean_calls(monkeypatch)
+        s0 = fs_initial_state(0.4, graph.n_agents, 100.0, params)
+        assert_single_runs_match_loop(s0, graph, params, 200)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["one-agent-out-of-sync", "memory-out-of-sync",
+                                      "lattice"])
+    def test_other_states_keep_every_agent(self, case, monkeypatch):
+        params = ModelParams(0.52, 0.5, 0.0, 1.0, 1.5)
+        calls = neighbor_mean_calls(monkeypatch)
+        if case == "one-agent-out-of-sync":
+            opinions = np.full(6, 0.4)
+            opinions[3] = 0.41
+            assert_single_runs_match_loop(initial_state(opinions, 100.0, params),
+                                          complete_graph(6), params, 50)
+        elif case == "memory-out-of-sync":
+            # equal opinions at a tie keep unequal memories, which simulate rejects
+            s0 = SimState(np.zeros(6), 100.0, np.array([1, 1, 1, -1, 1, 1]), 1)
+            want = run_loop(s0, complete_graph(6), params, 1)
+            s1 = step(s0, complete_graph(6), params)
+            assert len(set(want[0][1].tolist())) == 2
+            assert s1.opinions.tobytes() == want[0][1].tobytes()
+        else:
+            assert_single_runs_match_loop(fs_initial_state(0.4, 9, 100.0, params),
+                                          square_lattice(3), params, 50)
+        assert calls
 
     @pytest.mark.parametrize("theta0", [0.4, -0.999999, 1e-300])
     def test_mixed_regimes(self, theta0):
