@@ -30,7 +30,6 @@ from .dynamics import (
     emissions,
     fs_initial_state,
     initial_state,
-    local_field,
     local_fields,
     quantize_opinion,
     quantize_pollution,

@@ -109,12 +109,12 @@ def _convert(section: str, key: str, conv, raw):
         raise ConfigError(f"key {key!r} in [{section}]: cannot interpret {raw!r}") from None
 
 
-def _int(lo: int | None = None, hi: int | None = None):
+def _int(lo: int, hi: int | None = None):
     def conv(raw: str) -> int:
         value = int(raw, 10)
         if hi is not None and not lo <= value < hi:
             raise ConfigError(f"must lie in [{lo}, {hi}), got {value}")
-        if lo is not None and value < lo:
+        if value < lo:
             raise ConfigError(f"must be at least {lo}, got {value}")
         return value
     return conv
@@ -131,6 +131,13 @@ def _positive_float(raw: str) -> float:
     value = _to_float(raw)
     if value <= 0:
         raise ConfigError(f"must be positive, got {value}")
+    return value
+
+
+def _probability(raw: str) -> float:
+    value = _to_float(raw)
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"must lie in (0, 1], got {value}")
     return value
 
 
@@ -203,10 +210,10 @@ _KEYS = {
     },
     "graph": {
         "kind": (_one_of(_GRAPH_KINDS), _text, _REQUIRED),
-        "n": (_int(), str, _REQUIRED),
-        "side": (_int(), str, _REQUIRED),
-        "edge_prob": _FLOAT,
-        "seed": (_int(), str, _REQUIRED),
+        "n": (_int(2), str, _REQUIRED),
+        "side": (_int(2), str, _REQUIRED),
+        "edge_prob": (_probability, _fmt, _REQUIRED),
+        "seed": (_int(0), str, _REQUIRED),
         "path": (_existing_path, _text, _REQUIRED),
     },
     "params": {key: _FLOAT for key in ("beta", "gamma", "e_min", "e_max", "p_bar")},

@@ -82,8 +82,6 @@ class Trajectory:
     gives writable copies.
     """
 
-    params: ModelParams
-    graph: Graph
     recording_stride: int
     ticks: np.ndarray  # int64[S], strictly increasing
     opinions: np.ndarray  # float64[S, N]
@@ -184,17 +182,12 @@ def _field(mean, q_p, beta):
     return (1.0 - beta) * mean + beta * q_p
 
 
-def local_field(i: int, actions, q_p: int, graph: Graph, beta: float) -> float:
-    """Field value toward which agent i's opinion moves.
-
-    (1 - beta) * (n_i_plus - n_i_minus) / n_i + beta * q_p, always in [-1, 1].
-    """
-    nbrs = graph.neighbors[i]
-    return _field(sum(int(actions[j]) for j in nbrs) / len(nbrs), q_p, beta)
-
-
 def local_fields(actions: np.ndarray, q_p: int, graph: Graph, beta: float) -> np.ndarray:
-    """Vectorized :func:`local_field` for all agents at once, bitwise identical per agent."""
+    """Field value toward which each agent's opinion moves.
+
+    (1 - beta) * (n_i_plus - n_i_minus) / n_i + beta * q_p for agent i, always
+    in [-1, 1].
+    """
     return _field(graph.neighbor_mean(np.asarray(actions, dtype=np.int64)), q_p, beta)
 
 
@@ -306,14 +299,14 @@ def _run(initial: SimState, graph: Graph, par: dict,
     from ``initial``.  Returns opinions [P, S, N], pollution [P, S], actions
     int8 [P, S, N] and q_p int8 [P, S].
 
-    On a complete graph (n (n - 1) edges, which ``Graph`` keeps distinct and
-    loop-free) a state with equal opinions and memories stays so bit for bit,
-    as every neighbor mean is (n - 1) q / (n - 1) = q exactly.  Such a run
-    advances one column for all n agents (the FS quotient), with the identity
-    as its neighbor mean, and broadcasts its record back.  A single point
-    keeps pollution, params, action count and an FS opinion as Python
-    scalars, which the elementwise rules take at a fraction of numpy's
-    per-call cost; P points run as a [P, C] state with [P, 1] columns.
+    On any graph a state with equal opinions and memories stays so bit for
+    bit: ``Graph`` gives every agent d >= 1 in-neighbors, so its neighbor
+    mean is d q / d = q exactly.  Such a run advances one column for all n
+    agents (the FS quotient), with the identity as its neighbor mean, and
+    broadcasts its record back.  A single point keeps pollution, params,
+    action count and an FS opinion as Python scalars, which the elementwise
+    rules take at a fraction of numpy's per-call cost; P points run as a
+    [P, C] state with [P, 1] columns.
     """
     n = graph.n_agents
     n_pts = max(np.size(v) for v in par.values())
@@ -328,7 +321,7 @@ def _run(initial: SimState, graph: Graph, par: dict,
     q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int64))
     qp = quantize_pollution(p, p_bar, initial.q_p)
 
-    fs = graph.n_edges == n * (n - 1) and (theta == theta[0]).all() and (q == q[0]).all()
+    fs = (theta == theta[0]).all() and (q == q[0]).all()
     if fs:
         theta, q = theta[:1], q[:1]
         neighbor_mean, count_plus = (lambda q: q), (lambda q: n * (q == 1))
@@ -380,8 +373,6 @@ def simulate(initial: SimState, graph: Graph, params: ModelParams,
     record_ticks = sorted({*range(0, n_steps, stride), n_steps})
     thetas, ps, qs, qps = _run(initial, graph, vars(params), record_ticks)
     return Trajectory(
-        params=params,
-        graph=graph,
         recording_stride=stride,
         ticks=np.array(record_ticks, dtype=np.int64),
         opinions=thetas[0],

@@ -25,8 +25,8 @@ class Graph:
     least one neighbor because the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
     No other module reads the CSR arrays: the run loop takes neighbor averages
-    from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal` and
-    :meth:`components`, and only ``local_field`` and tests use :attr:`neighbors`.
+    from :meth:`neighbor_mean`, and the cluster analysis :meth:`count_equal`
+    and :meth:`components`.
     """
 
     n_agents: int
@@ -74,12 +74,6 @@ class Graph:
         degrees = self.indptr[1:] - self.indptr[:-1]
         degrees.flags.writeable = False
         return degrees
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """``neighbors[i]`` is agent i's in-neighborhood, for per-agent loops."""
-        flat, ptr = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(self.n_agents))
 
     def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
         """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike."""

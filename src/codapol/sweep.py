@@ -5,11 +5,10 @@ state.  For throughput a sweep advances many grid points as one [P, N]
 batch through ``dynamics._run``, the run loop single runs share, with the
 swept parameter as a column of P values.  Every operation is elementwise per
 point, so batch results are bitwise identical to running each point alone,
-regardless of chunking or thread count.  A fully synchronized start, which
-``FSInit`` admits only on a complete graph, takes the loop's FS quotient:
-one column stands for all n agents, at O(P) per tick instead of O(P N), and
-is broadcast back, so every row and attractor vector keeps length N and the
-same bytes.
+regardless of chunking or thread count.  A fully synchronized start, on any
+graph, takes the loop's FS quotient: one column stands for all n agents, at
+O(P) per tick instead of O(P N), and is broadcast back, so every row and
+attractor vector keeps length N and the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from .analysis import AttractorClass, classify_states
 from .dynamics import ModelParams, SimState, Trajectory, _check_initial, _run, _write_csv
 from .dynamics import initial_state, quantize_opinion, random_opinions, simulate
-from .graph import Graph, GraphSpec
+from .graph import GraphSpec
 
 
 class SweepError(RuntimeError):
@@ -133,14 +132,6 @@ def _initial_opinions(init: InitSpec, n_agents: int) -> np.ndarray:
     return random_opinions(init.seed, n_agents)
 
 
-def _start(spec: SweepSpec) -> tuple[Graph, np.ndarray]:
-    """The graph and tick-0 opinions every grid point of ``spec`` starts from."""
-    if isinstance(spec.initial, FSInit) and spec.graph_spec.kind != "complete":
-        raise ValueError("a fully synchronized initial state requires a complete graph")
-    graph = spec.graph_spec.build()
-    return graph, _initial_opinions(spec.initial, graph.n_agents)
-
-
 def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
                      tail_theta: np.ndarray, tail_p: np.ndarray) -> list[SweepRow]:
     rows = []
@@ -178,7 +169,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         raise ValueError(f"threads must be positive, got {threads}")
     if not spec.grid:
         return []
-    graph, opinions0 = _start(spec)
+    graph = spec.graph_spec.build()
+    opinions0 = _initial_opinions(spec.initial, graph.n_agents)
     p_bars = spec.grid if spec.swept_param == "p_bar" else (spec.base_params.p_bar,)
     _check_initial(opinions0, spec.initial.p0, p_bars)
     # tick-0 memories -1 and +1 reach no tie, since _check_initial rejects ties
@@ -204,7 +196,8 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     checked, as a ``ModelParams`` field, before the first run.
     """
     points = [(b, replace(base.base_params, beta=float(b))) for b in betas]
-    graph, opinions0 = _start(base)
+    graph = base.graph_spec.build()
+    opinions0 = _initial_opinions(base.initial, graph.n_agents)
     state0 = initial_state(opinions0, base.initial.p0, base.base_params)
     entries = []
     for b, params in points:

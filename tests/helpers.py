@@ -111,6 +111,21 @@ def orbit_relative_error(opinions, ticks, orbit):
     return float(worst)
 
 
+def neighbors(graph):
+    """Neighbor table of ``graph``: row i lists agent i's in-neighbors, ascending."""
+    flat, ptr = graph.indices.tolist(), graph.indptr.tolist()
+    return tuple(tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(graph.n_agents))
+
+
+def local_field(nbrs, actions, q_p, beta):
+    """Field of an agent with in-neighbors ``nbrs``, by an explicit neighbor loop:
+    (1 - beta) * (neighbor action sum / n_i) + beta * q_p."""
+    ssum = 0
+    for j in nbrs:
+        ssum += int(actions[j])
+    return (1.0 - beta) * (ssum / len(nbrs)) + beta * q_p
+
+
 def count_trichotomy_violations(traj, graph, beta, eq_tol=1e-12):
     """Violations of the step monotonicity trichotomy over a stride-1 trajectory.
 
@@ -118,14 +133,12 @@ def count_trichotomy_violations(traj, graph, beta, eq_tol=1e-12):
     Returns (tick, agent, theta, theta_next, field) tuples.
     """
     assert traj.recording_stride == 1
+    table = neighbors(graph)
     violations = []
     for s in range(traj.n_snapshots - 1):
         qp = int(traj.q_p[s])
         for i in range(traj.n_agents):
-            ssum = 0
-            for j in graph.neighbors[i]:
-                ssum += int(traj.actions[s, j])
-            f = (1.0 - beta) * (ssum / len(graph.neighbors[i])) + beta * qp
+            f = local_field(table[i], traj.actions[s], qp, beta)
             th = float(traj.opinions[s, i])
             th1 = float(traj.opinions[s + 1, i])
             if trichotomy_branch(th, th1, f, eq_tol) is None:
@@ -139,7 +152,7 @@ def run_loop(state, graph, params, n_steps):
     Refreshes the memories of ``state`` from its opinions and pollution, then
     applies the model's rules as written: each opinion moves toward the field
     (1 - beta) * (neighbor action sum / n_i) + beta * q_p, with the sum taken
-    over ``graph.neighbors``; the pollution decays by gamma and gains
+    over :func:`neighbors`; the pollution decays by gamma and gains
     n_plus * e_max + n_minus * e_min; both quantizers keep their memory at a
     tie.  Returns opinions [S, N], pollution [S], actions int8 [S, N] and q_p
     int8 [S] for ticks 0 to ``n_steps``.
@@ -151,6 +164,7 @@ def run_loop(state, graph, params, n_steps):
         return -1 if p > params.p_bar else (1 if p < params.p_bar else prev)
 
     n = graph.n_agents
+    table = neighbors(graph)
     theta = [float(x) for x in state.opinions]
     q = [sign(t, int(a)) for t, a in zip(theta, state.actions)]
     p = float(state.pollution)
@@ -161,10 +175,7 @@ def run_loop(state, graph, params, n_steps):
         total = n_plus * params.e_max + (n - n_plus) * params.e_min
         new_theta = []
         for i in range(n):
-            ssum = 0
-            for j in graph.neighbors[i]:
-                ssum += q[j]
-            f = (1.0 - params.beta) * (ssum / len(graph.neighbors[i])) + params.beta * qp
+            f = local_field(table[i], q, qp, params.beta)
             th = theta[i]
             new_theta.append(th + (1.0 - th * th) * (f - th))
         p = params.gamma * p + total
@@ -187,14 +198,12 @@ def count_preservation_violations(traj, graph, beta):
     action -1.
     """
     assert traj.recording_stride == 1
+    table = neighbors(graph)
     violations = []
     for s in range(traj.n_snapshots - 1):
         qp = int(traj.q_p[s])
         for i in range(traj.n_agents):
-            ssum = 0
-            for j in graph.neighbors[i]:
-                ssum += int(traj.actions[s, j])
-            f = (1.0 - beta) * (ssum / len(graph.neighbors[i])) + beta * qp
+            f = local_field(table[i], traj.actions[s], qp, beta)
             q_now = int(traj.actions[s, i])
             q_next = int(traj.actions[s + 1, i])
             if f >= 0.0 and q_now == 1 and q_next != 1:
@@ -451,8 +460,9 @@ def csr_of(neighbors):
 def same_action_components_bfs(actions, graph, agents=None):
     """Same-action components of the pool, each ascending, by smallest member."""
     pool = set(range(graph.n_agents)) if agents is None else set(int(a) for a in agents)
-    adjacent = [set(nbrs) for nbrs in graph.neighbors]
-    for i, nbrs in enumerate(graph.neighbors):
+    table = neighbors(graph)
+    adjacent = [set(nbrs) for nbrs in table]
+    for i, nbrs in enumerate(table):
         for j in nbrs:
             adjacent[j].add(i)
     seen = set()
@@ -485,9 +495,10 @@ def certify_cluster_loop(members, graph, actions, beta):
     margin_factor = math.inf if beta == 1.0 else beta / (1.0 - beta)
     weak_fails, strong_fails = [], []
     worst_strong = math.inf
+    table = neighbors(graph)
     for i in mem:
-        n_i = len(graph.neighbors[i])
-        inside = sum(1 for j in graph.neighbors[i] if j in member_set)
+        n_i = len(table[i])
+        inside = sum(1 for j in table[i] if j in member_set)
         outside = n_i - inside
         margin = margin_factor * n_i
         weak_slack = inside - outside + margin

@@ -51,6 +51,7 @@ from helpers import (
     brute_force_period,
     count_trichotomy_violations,
     is_rounding_event,
+    neighbors,
     orbit_relative_error,
 )
 
@@ -144,7 +145,7 @@ def test_03_escape_bound_over_sampled_betas():
 
 def _dense_adjacency(graph):
     a = np.zeros((graph.n_agents, graph.n_agents))
-    for i, nbrs in enumerate(graph.neighbors):
+    for i, nbrs in enumerate(neighbors(graph)):
         for j in nbrs:
             a[i, j] = 1.0
     return a

@@ -46,6 +46,7 @@ from helpers import (
     classify_unfiltered,
     find_preserved_clusters_loop,
     fs_flip_time,
+    neighbors,
     report_key,
     same_action_components_bfs,
     write_cluster_csv_per_row,
@@ -131,12 +132,12 @@ class TestCertifyCluster:
         actions = -np.ones(25, dtype=np.int64)
         # center plus all four neighbors: every outside neighbor count is 0
         # only for the center itself; its slack 4 >= 0 + 0.8181*4 holds
-        block = [center] + list(g.neighbors[center])
+        block = [center] + list(neighbors(g)[center])
         rep = certify_cluster(block, g, actions, 0.45)
         per_agent = {v[0]: v for v in rep.violations}
         assert center not in per_agent
         # center alone with one neighbor missing fails the strong condition
-        rep2 = certify_cluster([center] + list(g.neighbors[center])[:3], g, actions, 0.45)
+        rep2 = certify_cluster([center] + list(neighbors(g)[center])[:3], g, actions, 0.45)
         assert not rep2.strongly_robust
 
     def test_mixed_actions_marked(self):
@@ -351,10 +352,9 @@ class TestFindPreservedClusters:
 
     def test_no_snapshots_rejected(self):
         g = complete_graph(3)
-        empty = Trajectory(params=BASE, graph=g, recording_stride=1,
-                           ticks=np.zeros(0, dtype=np.int64), opinions=np.zeros((0, 3)),
-                           pollution=np.zeros(0), actions=np.zeros((0, 3), dtype=np.int8),
-                           q_p=np.zeros(0, dtype=np.int8))
+        empty = Trajectory(recording_stride=1, ticks=np.zeros(0, dtype=np.int64),
+                           opinions=np.zeros((0, 3)), pollution=np.zeros(0),
+                           actions=np.zeros((0, 3), dtype=np.int8), q_p=np.zeros(0, dtype=np.int8))
         with pytest.raises(ValueError, match="no snapshots"):
             find_preserved_clusters(empty, g, BASE.beta)
 
@@ -433,7 +433,7 @@ class TestClustersAgainstLoopOracles:
         g = square_lattice(30)
         acts = np.random.default_rng(9).choice([-1, 1], size=(3, 900)).astype(np.int8)
         acts[1:, ::3] = acts[0, ::3]
-        traj = Trajectory(params=BASE, graph=g, recording_stride=1, ticks=np.arange(3),
+        traj = Trajectory(recording_stride=1, ticks=np.arange(3),
                           opinions=acts.astype(float) / 2, pollution=np.full(3, 100.0),
                           actions=acts, q_p=np.full(3, -1, dtype=np.int8))
         for beta in ORACLE_BETAS:

@@ -49,6 +49,10 @@ SWEEP_BLOCK = (
     "\n[sweep]\nparam = beta\ngrid = 0.45,0.7,0.999\n"
     "transient = 1500\ntail = 512\nmax_period = 128\n",
 )
+GALLERY_BLOCK = (
+    "gallery",
+    "\n[gallery]\nbetas = 0.45,0.999\ntransient = 1500\ntail = 512\nmax_period = 128\n",
+)
 
 
 class TestSimulateCommand:
@@ -152,13 +156,8 @@ class TestSweepCommand:
         assert len(lines) == 1 + 3 * 512
 
     def test_gallery_command(self, tmp_path):
-        block = (
-            "gallery",
-            "\n[gallery]\nbetas = 0.45,0.999\ntransient = 1500\n"
-            "tail = 512\nmax_period = 128\n",
-        )
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, block, out)
+        cfg = write_config(tmp_path, GALLERY_BLOCK, out)
         assert main(["--config", str(cfg)]) == 0
         lines = (out / "gallery.csv").read_text().strip().split("\n")
         assert lines[0] == "beta,tick,theta,p,class"
@@ -246,6 +245,16 @@ class TestDeterminism:
                      "--threads", "3", "--quiet"]) == 0
         assert self.read_csvs(out1) == self.read_csvs(out2)
 
+    @pytest.mark.parametrize("block", [SWEEP_BLOCK, GALLERY_BLOCK], ids=["sweep", "gallery"])
+    def test_manifest_rerun_reproduces_fs_lattice_bytes_across_threads(self, tmp_path, block):
+        sections = BASE_SECTIONS.replace("kind = complete\nn = 20", "kind = lattice\nside = 4")
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        cfg = write_config(tmp_path, block, out1, sections=sections)
+        assert main(["--config", str(cfg), "--quiet"]) == 0
+        assert main(["--config", str(out1 / "manifest.txt"), "--out", str(out2),
+                     "--threads", "3", "--quiet"]) == 0
+        assert self.read_csvs(out1) == self.read_csvs(out2)
+
     def test_seed_override_recorded_and_effective(self, tmp_path):
         sections = BASE_SECTIONS.replace("kind = fs\ntheta0 = 0.4", "kind = random")
         out1, out2, out3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
@@ -320,6 +329,15 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: key {key!r} in [{section}]: value ")
+        assert not out.exists()
+
+    def test_bad_graph_key_exits_one_before_writing(self, tmp_path, capsys):
+        sections = BASE_SECTIONS.replace(
+            "kind = complete\nn = 20", "kind = random\nn = 20\nedge_prob = 0.5\nseed = -1")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, SIMULATE_BLOCK, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: key 'seed' in [graph]: ")
         assert not out.exists()
 
     def test_precondition_error_exits_one(self, tmp_path, capsys):

@@ -148,6 +148,27 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"'{key}' in"):
             parse_config(SIM_TEXT.replace(old, new))
 
+    @pytest.mark.parametrize("graph,key", [
+        ("kind = complete\nn = 1", "n"),
+        ("kind = lattice\nside = 1", "side"),
+        ("kind = random\nn = 1\nedge_prob = 0.5\nseed = 1", "n"),
+        ("kind = random\nn = 30\nedge_prob = 0\nseed = 1", "edge_prob"),
+        ("kind = random\nn = 30\nedge_prob = -0.25\nseed = 1", "edge_prob"),
+        ("kind = random\nn = 30\nedge_prob = 1.5\nseed = 1", "edge_prob"),
+        ("kind = random\nn = 30\nedge_prob = 0.5\nseed = -1", "seed"),
+    ])
+    def test_graph_bounds_name_the_key(self, graph, key):
+        with pytest.raises(ConfigError, match=f"key '{key}' in \\[graph\\]: must"):
+            parse_config(SIM_TEXT.replace("kind = complete\nn = 20", graph))
+
+    @pytest.mark.parametrize("graph", [
+        "kind = complete\nn = 2",
+        "kind = lattice\nside = 2",
+        "kind = random\nn = 2\nedge_prob = 1\nseed = 0",
+    ])
+    def test_graph_bounds_admit_their_ends(self, graph):
+        parse_config(SIM_TEXT.replace("kind = complete\nn = 20", graph)).graph.build()
+
     @pytest.mark.parametrize("key,value", [
         ("transient", "-1"), ("tail", "0"), ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan"),
         ("max_period", "0"),

@@ -13,7 +13,6 @@ from codapol.dynamics import (
     emissions,
     fs_initial_state,
     initial_state,
-    local_field,
     local_fields,
     quantize_opinion,
     quantize_pollution,
@@ -30,6 +29,8 @@ from helpers import (
     count_preservation_violations,
     count_trichotomy_violations,
     is_rounding_event,
+    local_field,
+    neighbors,
     run_loop,
     write_trajectory_csv_per_row,
 )
@@ -187,19 +188,19 @@ class TestLocalField:
     def test_synchronized_complete_graph(self):
         g = complete_graph(20)
         q = np.ones(20, dtype=np.int64)
-        f = local_field(0, q, -1, g, beta=0.45)
+        f = local_fields(q, -1, g, beta=0.45)[0]
         # (1 - 0.45) * 1 + 0.45 * (-1) = 0.1
         assert f == pytest.approx(0.1, abs=1e-15)
 
     def test_pure_neighbor_term(self):
         g = complete_graph(5)
         q = np.array([1, 1, 1, -1, 1])  # agent 4 sees 3 plus, 1 minus
-        assert local_field(4, q, -1, g, beta=0.0) == 0.5
+        assert local_fields(q, -1, g, beta=0.0)[4] == 0.5
 
     def test_pure_signal_term(self):
         g = complete_graph(5)
         q = np.array([1, -1, 1, -1, 1])
-        assert local_field(0, q, -1, g, beta=1.0) == -1.0
+        assert local_fields(q, -1, g, beta=1.0)[0] == -1.0
 
     def test_vectorized_matches_scalar_bitwise(self):
         rng = np.random.default_rng(5)
@@ -209,7 +210,7 @@ class TestLocalField:
             qp = int(rng.choice([-1, 1]))
             beta = float(rng.uniform(0, 1))
             vec = local_fields(q, qp, g, beta)
-            scal = np.array([local_field(i, q, qp, g, beta) for i in range(15)])
+            scal = np.array([local_field(nbrs, q, qp, beta) for nbrs in neighbors(g)])
             assert np.array_equal(vec, scal)
 
     @given(seed=st.integers(0, 1000), beta=st.floats(0, 1))
@@ -444,13 +445,14 @@ class TestSimulate:
         # agent's own action keeps that action one more tick
         for seed in range(6):
             g, _, s0 = small_random_setup(seed + 120)
-            max_deg = max(len(n) for n in g.neighbors)
+            table = neighbors(g)
+            max_deg = max(len(nbrs) for nbrs in table)
             params = ModelParams(beta=0.9 / (1 + max_deg), gamma=0.5,
                                  e_min=0.0, e_max=1.0, p_bar=15.0)
             traj = simulate(s0, g, params, 200)
             for s in range(traj.n_snapshots - 1):
                 for i in range(g.n_agents):
-                    diff = sum(int(traj.actions[s, j]) for j in g.neighbors[i])
+                    diff = sum(int(traj.actions[s, j]) for j in table[i])
                     q = int(traj.actions[s, i])
                     if q == 1 and diff > 0:
                         assert int(traj.actions[s + 1, i]) == 1
@@ -462,14 +464,15 @@ class TestSimulate:
         # whenever beta < 1/(1 + n_i); checked away from exact zero
         rng = np.random.default_rng(9)
         g = random_graph(12, 0.4, seed=9)
+        table = neighbors(g)
         for _ in range(50):
             q = rng.choice([-1, 1], size=12).astype(np.int64)
             qp = int(rng.choice([-1, 1]))
             for i in range(12):
-                n_i = len(g.neighbors[i])
+                n_i = len(table[i])
                 beta = 0.9 / (1 + n_i)
-                f = local_field(i, q, qp, g, beta)
-                arg = sum(int(q[j]) for j in g.neighbors[i]) + n_i * beta * qp / (1 - beta)
+                f = local_fields(q, qp, g, beta)[i]
+                arg = sum(int(q[j]) for j in table[i]) + n_i * beta * qp / (1 - beta)
                 if abs(arg) > 1e-9:
                     assert math.copysign(1, f) == math.copysign(1, arg)
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codapol.dynamics import local_field
 from codapol.graph import (
     Graph,
     GraphSpec,
@@ -18,20 +17,22 @@ from helpers import (
     complete_graph_neighbors,
     csr_of,
     edge_list_neighbors,
+    local_field,
+    neighbors,
     random_graph_neighbors,
     same_action_components_bfs,
     square_lattice_neighbors,
 )
 
 
-def assert_graph_is(g, neighbors):
+def assert_graph_is(g, table):
     """Every stored and derived form of ``g`` matches the oracle table."""
-    indptr, indices = csr_of(neighbors)
-    assert g.n_agents == len(neighbors)
-    assert g.neighbors == neighbors
+    indptr, indices = csr_of(table)
+    assert g.n_agents == len(table)
+    assert neighbors(g) == table
     assert g.indptr.dtype == np.int64 and g.indptr.tolist() == indptr
     assert g.indices.dtype == np.int64 and g.indices.tolist() == indices
-    assert g.degrees.tolist() == [len(nbrs) for nbrs in neighbors]
+    assert g.degrees.tolist() == [len(nbrs) for nbrs in table]
     assert g.n_edges == len(indices)
 
 
@@ -102,13 +103,12 @@ class TestCompleteGraph:
     def test_twenty_nodes_all_degree_nineteen(self):
         g = complete_graph(20)
         assert g.n_agents == 20
-        assert all(len(nbrs) == 19 for nbrs in g.neighbors)
+        assert all(len(nbrs) == 19 for nbrs in neighbors(g))
         assert not g.directed
 
     def test_smallest_legal(self):
         g = complete_graph(2)
-        assert g.neighbors[0] == (1,)
-        assert g.neighbors[1] == (0,)
+        assert neighbors(g) == ((1,), (0,))
 
     def test_directed_edge_count_matches_enumeration(self):
         g = complete_graph(5)
@@ -129,7 +129,7 @@ class TestSquareLattice:
 
     def test_two_by_two_all_corners(self):
         g = square_lattice(2)
-        assert all(len(nbrs) == 2 for nbrs in g.neighbors)
+        assert all(len(nbrs) == 2 for nbrs in neighbors(g))
 
     def test_three_by_three_degree_multiset(self):
         g = square_lattice(3)
@@ -141,8 +141,8 @@ class TestSquareLattice:
                         if 0 <= r + dr < 3 and 0 <= c + dc < 3)
                 degs[r * 3 + c] = d
         assert sorted(degs.values()) == [2, 2, 2, 2, 3, 3, 3, 3, 4]
-        assert sorted(len(n) for n in g.neighbors) == [2, 2, 2, 2, 3, 3, 3, 3, 4]
-        assert len(g.neighbors[4]) == 4  # center agent
+        assert sorted(len(n) for n in neighbors(g)) == [2, 2, 2, 2, 3, 3, 3, 3, 4]
+        assert len(neighbors(g)[4]) == 4  # center agent
 
     def test_adjacency_matches_enumeration(self):
         g = square_lattice(4)
@@ -154,7 +154,7 @@ class TestSquareLattice:
                     for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
                     if 0 <= r + dr < 4 and 0 <= c + dc < 4
                 )
-                assert list(g.neighbors[i]) == expected
+                assert list(neighbors(g)[i]) == expected
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -163,28 +163,29 @@ class TestSquareLattice:
 
 class TestRandomGraph:
     def test_full_probability_is_complete(self):
-        assert random_graph(10, 1.0, seed=3).neighbors == complete_graph(10).neighbors
+        assert neighbors(random_graph(10, 1.0, seed=3)) == neighbors(complete_graph(10))
 
     def test_deterministic_for_fixed_seed(self):
         a = random_graph(50, 0.1, seed=7)
         b = random_graph(50, 0.1, seed=7)
-        assert a.neighbors == b.neighbors
+        assert neighbors(a) == neighbors(b)
 
     def test_isolated_vertices_repaired(self):
         g = random_graph(50, 0.1, seed=7)
-        assert min(len(nbrs) for nbrs in g.neighbors) >= 1
+        assert min(len(nbrs) for nbrs in neighbors(g)) >= 1
 
     @given(n=st.integers(2, 25), edge_prob=st.floats(0.01, 1.0), seed=st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_invariants(self, n, edge_prob, seed):
         g = random_graph(n, edge_prob, seed)
         undirected_edges = set()
-        for i, nbrs in enumerate(g.neighbors):
+        table = neighbors(g)
+        for i, nbrs in enumerate(table):
             assert list(nbrs) == sorted(set(nbrs))
             assert i not in nbrs
             assert len(nbrs) >= 1
             for j in nbrs:
-                assert i in g.neighbors[j]  # symmetry
+                assert i in table[j]  # symmetry
                 undirected_edges.add(frozenset((i, j)))
         assert g.n_edges == 2 * len(undirected_edges)  # degree sum
 
@@ -210,7 +211,7 @@ class TestGraphValidation:
         indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
         g = Graph(2, indptr, indices)
         indices[:] = 5
-        assert g.neighbors == ((1,), (0,))
+        assert neighbors(g) == ((1,), (0,))
         assert indices.flags.writeable
 
     def test_self_loop_rejected(self):
@@ -255,7 +256,7 @@ class TestGraphValidation:
     def test_csr_arrays_consistent(self):
         g = square_lattice(3)
         assert g.indptr[-1] == g.n_edges
-        for i, nbrs in enumerate(g.neighbors):
+        for i, nbrs in enumerate(square_lattice_neighbors(3)):
             got = g.indices[g.indptr[i]:g.indptr[i + 1]]
             assert list(got) == list(nbrs)
 
@@ -272,16 +273,16 @@ class TestNeighborMean:
         parse_edge_list(DIRECTED_TEXT),
     ], ids=["lattice", "random", "complete", "edgelist-directed"])
     def test_stack_matches_rows_and_per_agent_loop(self, graph):
-        n = graph.n_agents
+        n, table = graph.n_agents, neighbors(graph)
         q = np.random.default_rng(n).choice([-1, 1], size=(6, n)).astype(np.int64)
         stack = graph.neighbor_mean(q)
         assert stack.shape == (6, n) and stack.dtype == np.float64
         for row, mean in zip(q, stack):
             assert graph.neighbor_mean(row).tobytes() == mean.tobytes()
-            loop = [sum(int(row[j]) for j in nbrs) / len(nbrs) for nbrs in graph.neighbors]
+            loop = [sum(int(row[j]) for j in nbrs) / len(nbrs) for nbrs in table]
             assert np.array(loop).tobytes() == mean.tobytes()
             for beta, q_p in [(0.0, 1), (0.3, -1), (0.77, 1), (1.0, -1)]:
-                fields = [local_field(i, row, q_p, graph, beta) for i in range(n)]
+                fields = [local_field(nbrs, row, q_p, beta) for nbrs in table]
                 assert np.array(fields).tobytes() == ((1.0 - beta) * mean + beta * q_p).tobytes()
 
 
@@ -327,7 +328,7 @@ class TestLabelQueries:
             counts = graph.count_equal(labels)
             assert counts.dtype == np.int64
             assert counts.tolist() == [sum(int(labels[j] == labels[i]) for j in nbrs)
-                                       for i, nbrs in enumerate(graph.neighbors)]
+                                       for i, nbrs in enumerate(neighbors(graph))]
             assert graph.components(labels).tolist() == \
                 smallest_reachable(labels, graph).tolist()
 
@@ -375,19 +376,19 @@ class TestEdgeList:
         """
         g = parse_edge_list(text)
         assert not g.directed
-        assert g.neighbors == ((1, 2), (0, 2), (0, 1))
+        assert neighbors(g) == ((1, 2), (0, 2), (0, 1))
 
     def test_directed_in_neighborhoods(self):
         g = parse_edge_list("N 3 directed=1\n0 1\n0 2\n1 2\n2 0\n")
         assert g.directed
         # line "src dst" means src influences dst
-        assert g.neighbors == ((2,), (0,), (0, 1))
+        assert neighbors(g) == ((2,), (0,), (0, 1))
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("N 2 directed=0\n0 1\n")
         g = read_edge_list(path)
-        assert g.neighbors == ((1,), (0,))
+        assert neighbors(g) == ((1,), (0,))
 
     @pytest.mark.parametrize("text, match", [
         ("0 1\n", "header"),
@@ -411,7 +412,7 @@ class TestEdgeList:
 
     def test_agent_count_at_twice_the_edges_accepted(self):
         g = parse_edge_list("N 4 directed=0\n0 1\n2 3\n")
-        assert g.neighbors == ((1,), (0,), (3,), (2,))
+        assert neighbors(g) == ((1,), (0,), (3,), (2,))
 
     def test_isolated_vertex_rejected(self):
         # agent 2 never appears; the dynamics could not divide by its degree

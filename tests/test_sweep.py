@@ -23,7 +23,6 @@ from codapol.graph import (
     complete_graph,
     parse_edge_list,
     random_graph,
-    square_lattice,
 )
 from codapol.sweep import (
     SWEEPABLE,
@@ -98,11 +97,6 @@ class TestSweepSpecValidation:
     def test_bad_run_length_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             fs_spec([0.3], **{field: value})
-
-    def test_fs_requires_complete_graph(self):
-        spec = fs_spec([0.45], graph_spec=GraphSpec(kind="lattice", side=4))
-        with pytest.raises(ValueError, match="complete"):
-            run_sweep(spec)
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_must_be_positive(self, threads):
@@ -323,6 +317,26 @@ def neighbor_mean_calls(monkeypatch):
     return calls
 
 
+def draw_graph_spec(data, tmp_path_factory):
+    """A complete, lattice, random or directed edge-list graph spec, drawn by hypothesis."""
+    kind = data.draw(st.sampled_from(["complete", "lattice", "random", "edgelist"]), label="kind")
+    if kind == "lattice":
+        return GraphSpec(kind=kind, side=data.draw(st.integers(2, 6), label="side"))
+    n = data.draw(st.integers(2, 40 if kind != "edgelist" else 12), label="n")
+    if kind == "complete":
+        return GraphSpec(kind=kind, n=n)
+    if kind == "random":
+        return GraphSpec(kind=kind, n=n, edge_prob=data.draw(st.floats(0.01, 1.0), label="p"),
+                         seed=data.draw(st.integers(0, 2**32), label="seed"))
+    # a directed ring gives every agent an in-neighbor; chords add more
+    chords = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                .filter(lambda e: e[0] != e[1]), max_size=2 * n), label="chords")
+    path = tmp_path_factory.mktemp("graph") / "edges.txt"
+    path.write_text(f"N {n} directed=1\n" + "".join(
+        f"{i} {j}\n" for i, j in [(i, (i + 1) % n) for i in range(n)] + chords))
+    return GraphSpec(kind=kind, path=str(path))
+
+
 SWEPT_VALUES = {
     "beta": st.floats(0.0, 1.0),
     "gamma": st.floats(0.01, 0.99),
@@ -336,8 +350,8 @@ class TestFsQuotient:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_random_fs_sweeps(self, data):
-        n = data.draw(st.integers(2, 40), label="n")
+    def test_random_fs_sweeps(self, data, tmp_path_factory):
+        graph_spec = draw_graph_spec(data, tmp_path_factory)
         swept = data.draw(st.sampled_from(SWEEPABLE), label="swept")
         grid = sorted(set(data.draw(
             st.lists(SWEPT_VALUES[swept], min_size=1, max_size=4), label="grid")))
@@ -346,8 +360,11 @@ class TestFsQuotient:
         threads = data.draw(st.sampled_from([1, 2]), label="threads")
         spec = fs_spec(grid, swept_param=swept, transient=transient, tail=40,
                        max_period=16, initial=FSInit(theta0=theta0, p0=100.0),
-                       graph_spec=GraphSpec(kind="complete", n=n))
-        assert_rows_match_full_runs(spec, threads)
+                       graph_spec=graph_spec)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = neighbor_mean_calls(mp)
+            assert_rows_match_full_runs(spec, threads)
+        assert calls == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_threshold_tie_grid(self, threads):
@@ -364,8 +381,8 @@ class TestFsQuotient:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_random_single_runs(self, data):
-        n = data.draw(st.integers(2, 40), label="n")
+    def test_random_single_runs(self, data, tmp_path_factory):
+        graph = draw_graph_spec(data, tmp_path_factory).build()
         params = ModelParams(
             beta=data.draw(SWEPT_VALUES["beta"], label="beta"),
             gamma=data.draw(SWEPT_VALUES["gamma"], label="gamma"),
@@ -374,8 +391,11 @@ class TestFsQuotient:
         )
         theta0 = data.draw(st.sampled_from([0.4, -0.999999, 1e-300, 1.0, -1.0]), label="theta0")
         n_steps = data.draw(st.integers(0, 300), label="n_steps")
-        s0 = fs_initial_state(theta0, n, 100.0, params, allow_boundary=True)
-        assert_single_runs_match_loop(s0, complete_graph(n), params, n_steps)
+        s0 = fs_initial_state(theta0, graph.n_agents, 100.0, params, allow_boundary=True)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = neighbor_mean_calls(mp)
+            assert_single_runs_match_loop(s0, graph, params, n_steps)
+        assert calls == []
 
     def test_single_run_threshold_tie(self):
         # the tie of test_threshold_tie_grid, in a single run: q_p keeps its memory
@@ -397,8 +417,7 @@ class TestFsQuotient:
         assert_single_runs_match_loop(s0, graph, params, 200)
         assert calls == []
 
-    @pytest.mark.parametrize("case", ["one-agent-out-of-sync", "memory-out-of-sync",
-                                      "lattice"])
+    @pytest.mark.parametrize("case", ["one-agent-out-of-sync", "memory-out-of-sync"])
     def test_other_states_keep_every_agent(self, case, monkeypatch):
         params = ModelParams(0.52, 0.5, 0.0, 1.0, 1.5)
         calls = neighbor_mean_calls(monkeypatch)
@@ -407,16 +426,13 @@ class TestFsQuotient:
             opinions[3] = 0.41
             assert_single_runs_match_loop(initial_state(opinions, 100.0, params),
                                           complete_graph(6), params, 50)
-        elif case == "memory-out-of-sync":
+        else:
             # equal opinions at a tie keep unequal memories, which simulate rejects
             s0 = SimState(np.zeros(6), 100.0, np.array([1, 1, 1, -1, 1, 1]), 1)
             want = run_loop(s0, complete_graph(6), params, 1)
             s1 = step(s0, complete_graph(6), params)
             assert len(set(want[0][1].tolist())) == 2
             assert s1.opinions.tobytes() == want[0][1].tobytes()
-        else:
-            assert_single_runs_match_loop(fs_initial_state(0.4, 9, 100.0, params),
-                                          square_lattice(3), params, 50)
         assert calls
 
     @pytest.mark.parametrize("theta0", [0.4, -0.999999, 1e-300])
@@ -475,10 +491,20 @@ class TestAttractorGallery:
             attractor_gallery(betas, fs_spec([0.5], transient=10, tail=8, max_period=4))
         assert not isinstance(info.value, SweepError)
 
-    def test_gallery_requires_complete_graph_for_fs(self):
-        base = fs_spec([0.5], graph_spec=GraphSpec(kind="lattice", side=4))
-        with pytest.raises(ValueError, match="complete"):
-            attractor_gallery([0.45], base)
+    def test_fs_gallery_on_a_lattice_matches_loop(self, monkeypatch):
+        base = fs_spec([0.5], transient=300, tail=256, max_period=128,
+                       graph_spec=GraphSpec(kind="lattice", side=4))
+        calls = neighbor_mean_calls(monkeypatch)
+        entries = attractor_gallery([0.45, 0.52, 0.999], base)
+        assert calls == []
+        graph = base.graph_spec.build()
+        for beta, traj, att in entries:
+            params = replace(BASE, beta=beta)
+            want = run_loop(fs_initial_state(0.4, 16, 100.0, params), graph, params, 556)
+            for got, ref in zip((traj.opinions, traj.pollution, traj.actions, traj.q_p), want):
+                assert got.tobytes() == ref.tobytes()
+            expected = classify_states(want[0][-256:], want[1][-256:], max_period=128)
+            assert attractor_bytes(att) == attractor_bytes(expected)
 
 
 class TestSweepCsv:
