@@ -22,7 +22,7 @@ from .analysis import (
     qp_stationarity_certificate,
     same_action_components,
 )
-from .config import ConfigError, InitConfig, RunConfig, parse_config, render_config
+from .config import ConfigError, RunConfig, parse_config, render_config
 from .dynamics import (
     ModelParams,
     SimState,
@@ -41,8 +41,7 @@ from .dynamics import (
 )
 from .graph import Graph, GraphSpec, complete_graph, random_graph, read_edge_list, square_lattice
 from .sweep import (
-    FSInit,
-    RandomInit,
+    InitSpec,
     SweepError,
     SweepRow,
     SweepSpec,

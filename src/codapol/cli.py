@@ -1,8 +1,9 @@
 """Command-line front end: run a configured experiment and write its outputs.
 
-Every run writes a ``manifest.txt`` holding the fully resolved config; the
-manifest is itself a valid config document, and re-running it reproduces
-the CSV outputs bit-exactly.
+Every finished run writes a ``manifest.txt`` holding the fully resolved
+config; the manifest is itself a valid config document, and re-running it
+reproduces the CSV outputs bit-exactly.  The ``classify`` command is a
+one-point ``run_sweep``.
 
 Exit codes: 0 success, 1 configuration or precondition errors, 2 runtime
 errors (for example a tail too short for classification).
@@ -15,23 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     InsufficientDataError,
-    classify_states,
     find_preserved_clusters,
     write_cluster_csv,
     write_lattice_grid_csv,
 )
 from .config import ConfigError, RunConfig, parse_config, render_config
-from .dynamics import _run, _write_csv, initial_state, simulate
+from .dynamics import _write_csv, initial_state, simulate
 from .sweep import (
-    FSInit,
-    RandomInit,
     SweepError,
     SweepSpec,
-    _initial_opinions,
     attractor_gallery,
     run_sweep,
     write_bifurcation_csv,
@@ -39,37 +34,14 @@ from .sweep import (
 )
 
 
-def _build_opinions(cfg: RunConfig, n_agents: int) -> np.ndarray:
-    if cfg.init.kind != "file":
-        return _initial_opinions(_init_spec(cfg), n_agents)
-    values = []
-    for k, tok in enumerate(Path(cfg.init.path).read_text().split(), start=1):
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ValueError(f"opinion file {cfg.init.path!r}: value {k} must be a number, "
-                             f"got {tok!r}") from None
-    if len(values) != n_agents:
-        raise ValueError(
-            f"opinion file {cfg.init.path!r} has {len(values)} values "
-            f"for {n_agents} agents"
-        )
-    return np.asarray(values, dtype=np.float64)
-
-
-def _init_spec(cfg: RunConfig):
-    if cfg.init.kind == "fs":
-        return FSInit(theta0=cfg.init.theta0, p0=cfg.init.p0)
-    return RandomInit(seed=cfg.seed, p0=cfg.init.p0)
-
-
 def _sweep_spec(cfg: RunConfig, grid: tuple[float, ...], swept: str) -> SweepSpec:
     return SweepSpec(
         base_params=cfg.params,
         swept_param=swept,
         grid=grid,
-        initial=_init_spec(cfg),
+        initial=cfg.init,
         graph_spec=cfg.graph,
+        seed=cfg.seed,
         transient=cfg.transient,
         tail=cfg.tail,
         tol=cfg.tol,
@@ -77,22 +49,20 @@ def _sweep_spec(cfg: RunConfig, grid: tuple[float, ...], swept: str) -> SweepSpe
     )
 
 
-def _start_state(cfg: RunConfig):
-    graph = cfg.graph.build()
-    opinions = _build_opinions(cfg, graph.n_agents)
-    return graph, initial_state(opinions, cfg.init.p0, cfg.params)
-
-
 def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
-    """Execute one command; returns the paths written (manifest first)."""
+    """Execute one command; returns the paths written (manifest first).
+
+    The manifest is rendered first and written last, so only a finished run has one.
+    """
     manifest = render_config(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "manifest.txt"]
-    written[0].write_text(manifest)
 
     if cfg.command in ("simulate", "clusters"):
-        graph, state0 = _start_state(cfg)
+        graph = cfg.graph.build()
+        state0 = initial_state(cfg.init.opinions(graph.n_agents, cfg.seed), cfg.init.p0,
+                               cfg.params)
         traj = simulate(state0, graph, cfg.params, cfg.steps, cfg.stride)
         if cfg.command == "simulate":
             path = out_dir / "trajectory.csv"
@@ -118,17 +88,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         write_gallery_csv(entries, path)
         written.append(path)
     elif cfg.command == "classify":
-        graph, state0 = _start_state(cfg)
-        tail = range(cfg.transient + 1, cfg.transient + cfg.tail + 1)
-        tail_theta, tail_p, _, _ = _run(state0, graph, vars(cfg.params), tail)
-        attractor = classify_states(
-            tail_theta[0], tail_p[0], tol=cfg.tol, max_period=cfg.max_period,
-        )
+        (row,) = run_sweep(_sweep_spec(cfg, (cfg.params.beta,), "beta"))
+        attractor = row.attractor
         path = out_dir / "classification.csv"
         period = attractor.period if attractor.kind == "cycle" else ""
         _write_csv(path, "class,period", "%s,%s", [(attractor.kind, period)])
         written.append(path)
 
+    written[0].write_text(manifest)
     if not quiet:
         for p in written:
             print(p)

@@ -7,13 +7,16 @@ never silently dropped.
 The key table below (``_KEYS`` with ``_KINDS`` and ``_COMMAND_SECTION``) is
 the format: every section, every key with its converter, bounds, renderer
 and default, and the keys of each graph kind, init kind and command in
-document order.  ``parse_config`` and ``render_config`` both walk it, so
-``render_config`` produces a canonical document that parses back to an equal
-RunConfig.  That is what run manifests are made of: a manifest alone
-reproduces a run bit-exactly.  Values that would not survive the trip (a
-``#``, a line break, surrounding whitespace) cannot be rendered.  The
-``grid_start``/``grid_stop``/``grid_step`` range form of a sweep grid is
-accepted on input only; manifests list the grid.
+document order.  The ``[graph]`` and ``[init]`` sections hold the library's
+``GraphSpec`` and ``InitSpec``, whose kind tables the key table reads, so
+every command takes every graph and init kind.  ``parse_config`` and
+``render_config`` both walk the key table, so ``render_config`` produces a
+canonical document that parses back to an equal RunConfig.  That is what run
+manifests are made of: a manifest alone reproduces a run bit-exactly.
+Values that would not survive the trip (a ``#``, a line break, surrounding
+whitespace) cannot be rendered.  The ``grid_start``/``grid_stop``/
+``grid_step`` range form of a sweep grid is accepted on input only;
+manifests list the grid.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from .dynamics import ModelParams
 from .graph import _GRAPH_KINDS, GraphSpec
-from .sweep import SWEEPABLE
+from .sweep import _INIT_KINDS, SWEEPABLE, InitSpec
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_PERIOD = 256
@@ -35,23 +38,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class InitConfig:
-    """Initial condition: synchronized, seeded-random, or explicit opinion file."""
-
-    kind: str  # fs | random | file
-    p0: float
-    theta0: float | None = None
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved description of one command invocation."""
 
     command: str
     graph: GraphSpec
     params: ModelParams
-    init: InitConfig
+    init: InitSpec
     out: str
     seed: int = 0
     threads: int = 1
@@ -148,6 +141,13 @@ def _to_float_list(raw: str) -> tuple[float, ...]:
     return tuple(_to_float(p) for p in parts)
 
 
+def _increasing_float_list(raw: str) -> tuple[float, ...]:
+    values = _to_float_list(raw)
+    if any(not a < b for a, b in zip(values, values[1:])):
+        raise ConfigError("values must be strictly increasing")
+    return values
+
+
 def _one_of(choices):
     def conv(raw: str) -> str:
         if raw not in choices:
@@ -189,7 +189,6 @@ _COMMAND_SECTION = {
     "clusters": "simulate", "classify": "classify",
 }
 COMMANDS = tuple(_COMMAND_SECTION)
-_INIT_KINDS = {"fs": ("theta0",), "random": (), "file": ("path",)}
 _KINDS = {
     "graph": {kind: ("kind", *fields) for kind, (_, fields) in _GRAPH_KINDS.items()},
     "init": {kind: ("kind", "p0", *extra) for kind, extra in _INIT_KINDS.items()},
@@ -226,7 +225,7 @@ _KEYS = {
     "simulate": {"steps": (_int(0), str, _REQUIRED), "stride": (_int(1), str, 1)},
     "sweep": {
         "param": (_one_of(SWEEPABLE), _text, _REQUIRED),
-        "grid": (_to_float_list, _fmt_list, _REQUIRED),
+        "grid": (_increasing_float_list, _fmt_list, _REQUIRED),
         **_TAIL,
     },
     "gallery": {"betas": (_to_float_list, _fmt_list, _REQUIRED), **_TAIL},
@@ -299,11 +298,9 @@ def parse_config(text: str) -> RunConfig:
         params = ModelParams(**values)
     except ValueError as exc:
         raise ConfigError(f"section [params]: {exc}") from None
-    init = InitConfig(**_read(sections, "init"))
+    init = InitSpec(**_read(sections, "init"))
 
     command = run["command"]
-    if command in ("sweep", "gallery") and init.kind == "file":
-        raise ConfigError(f"command {command!r} needs init kind fs or random")
     section = _COMMAND_SECTION[command]
     unknown_sections = set(sections) - {"run", "graph", "params", "init", section}
     if unknown_sections:

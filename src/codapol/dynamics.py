@@ -293,8 +293,8 @@ def _run(initial: SimState, graph: Graph, par: dict,
          record_ticks: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Advance ``initial`` after refreshing its memories, recording at ``record_ticks``.
 
-    The one run loop: ``simulate``, ``step``, the CLI ``classify`` command
-    and ``run_sweep`` call it.  ``par`` maps each ``ModelParams`` field to a
+    The one run loop: ``simulate``, ``step`` and ``run_sweep`` (also the CLI
+    ``classify`` command's) call it.  ``par`` maps each ``ModelParams`` field to a
     scalar or a column of P values; the ticks are strictly increasing counts
     from ``initial``.  Returns opinions [P, S, N], pollution [P, S], actions
     int8 [P, S, N] and q_p int8 [P, S].

@@ -1,14 +1,17 @@
 """Parameter sweeps: bifurcation datasets and attractor galleries.
 
 Grid points are independent experiments sharing one graph and one initial
-state.  For throughput a sweep advances many grid points as one [P, N]
-batch through ``dynamics._run``, the run loop single runs share, with the
-swept parameter as a column of P values.  Every operation is elementwise per
+state.  ``InitSpec`` describes that state, for the library and for the
+config's ``[init]`` section alike, as ``GraphSpec`` describes the graph.
+For throughput a sweep advances many grid points as one [P, N] batch
+through ``dynamics._run``, the run loop single runs share, with the swept
+parameter as a column of P values.  Every operation is elementwise per
 point, so batch results are bitwise identical to running each point alone,
-regardless of chunking or thread count.  A fully synchronized start, on any
-graph, takes the loop's FS quotient: one column stands for all n agents, at
-O(P) per tick instead of O(P N), and is broadcast back, so every row and
-attractor vector keeps length N and the same bytes.
+regardless of chunking or thread count; the CLI ``classify`` command runs
+as a one-point sweep.  A fully synchronized start, on any graph, takes the
+loop's FS quotient: one column stands for all n agents, at O(P) per tick
+instead of O(P N), and is broadcast back, so every row and attractor vector
+keeps length N and the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import count, repeat
-from typing import Sequence, Union
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -31,34 +35,51 @@ class SweepError(RuntimeError):
     """A single grid point failed; the offending value is named in the message."""
 
 
-@dataclass(frozen=True)
-class FSInit:
-    """Fully synchronized start: every agent at theta0, pollution at p0."""
+# The fields beyond p0 that each kind of initial condition needs.
+_INIT_KINDS = {"fs": ("theta0",), "random": (), "file": ("path",)}
 
-    theta0: float
+
+@dataclass(frozen=True)
+class InitSpec:
+    """Tick-0 recipe: pollution at p0, and opinions fully synchronized at
+    theta0 (fs), seeded i.i.d. uniform on (-1, 1) (random), or read from the
+    whitespace-separated opinion file at path (file)."""
+
+    kind: str  # fs | random | file
     p0: float
+    theta0: float | None = None
+    path: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _INIT_KINDS:
+            raise ValueError(f"unknown init kind {self.kind!r}")
+        for name in _INIT_KINDS[self.kind]:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} init spec needs {name}")
         for name in ("theta0", "p0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
+    def opinions(self, n_agents: int, seed: int) -> np.ndarray:
+        """Tick-0 opinions of ``n_agents`` agents; ``seed`` keys a random start."""
+        if self.kind == "fs":
+            return np.full(n_agents, self.theta0, dtype=np.float64)
+        if self.kind == "random":
+            return random_opinions(seed, n_agents)
+        values = []
+        for k, tok in enumerate(Path(self.path).read_text().split(), start=1):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ValueError(f"opinion file {self.path!r}: value {k} must be a number, "
+                                 f"got {tok!r}") from None
+        if len(values) != n_agents:
+            raise ValueError(
+                f"opinion file {self.path!r} has {len(values)} values for {n_agents} agents"
+            )
+        return np.asarray(values, dtype=np.float64)
 
-@dataclass(frozen=True)
-class RandomInit:
-    """Seeded i.i.d. uniform opinions on (-1, 1), pollution at p0."""
-
-    seed: int
-    p0: float
-
-    def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not math.isfinite(self.p0):
-            raise ValueError(f"p0 must be finite, got {self.p0}")
-
-
-InitSpec = Union[FSInit, RandomInit]
 
 SWEEPABLE = ("beta", "gamma", "p_bar")
 
@@ -72,6 +93,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     initial: InitSpec
     graph_spec: GraphSpec
+    seed: int = 0  # keys a random start
     transient: int = 10_000
     tail: int = 1024
     tol: float = 1e-9
@@ -97,6 +119,8 @@ class SweepSpec:
             raise ValueError(f"max_period must be positive, got {self.max_period}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base_params, **{self.swept_param: value})
@@ -125,13 +149,6 @@ class SweepRow:
         return self.opinion_samples if self.is_fs else self.opinion_samples[:, 1]
 
 
-def _initial_opinions(init: InitSpec, n_agents: int) -> np.ndarray:
-    """Tick-0 opinions of a fully synchronized or seeded-random start."""
-    if isinstance(init, FSInit):
-        return np.full(n_agents, init.theta0, dtype=np.float64)
-    return random_opinions(init.seed, n_agents)
-
-
 def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
                      tail_theta: np.ndarray, tail_p: np.ndarray) -> list[SweepRow]:
     rows = []
@@ -142,20 +159,11 @@ def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
             )
         except Exception as exc:
             raise SweepError(f"grid value {v!r}: {exc}") from exc
-        if isinstance(spec.initial, FSInit):
+        if spec.initial.kind == "fs":
             samples = tail_theta[j, :, 0].copy()
         else:
-            samples = np.column_stack([
-                tail_theta[j].min(axis=1),
-                tail_theta[j].mean(axis=1),
-                tail_theta[j].max(axis=1),
-            ])
-        rows.append(SweepRow(
-            param_value=float(v),
-            attractor=attractor,
-            opinion_samples=samples,
-            p_samples=tail_p[j].copy(),
-        ))
+            samples = np.column_stack([f(tail_theta[j], axis=1) for f in (np.min, np.mean, np.max)])
+        rows.append(SweepRow(float(v), attractor, samples, tail_p[j].copy()))
     return rows
 
 
@@ -170,7 +178,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     if not spec.grid:
         return []
     graph = spec.graph_spec.build()
-    opinions0 = _initial_opinions(spec.initial, graph.n_agents)
+    opinions0 = spec.initial.opinions(graph.n_agents, spec.seed)
     p_bars = spec.grid if spec.swept_param == "p_bar" else (spec.base_params.p_bar,)
     _check_initial(opinions0, spec.initial.p0, p_bars)
     # tick-0 memories -1 and +1 reach no tie, since _check_initial rejects ties
@@ -197,7 +205,7 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     """
     points = [(b, replace(base.base_params, beta=float(b))) for b in betas]
     graph = base.graph_spec.build()
-    opinions0 = _initial_opinions(base.initial, graph.n_agents)
+    opinions0 = base.initial.opinions(graph.n_agents, base.seed)
     state0 = initial_state(opinions0, base.initial.p0, base.base_params)
     entries = []
     for b, params in points:

@@ -44,7 +44,7 @@ from codapol.dynamics import (
     step_opinion,
 )
 from codapol.graph import GraphSpec, complete_graph, random_graph, square_lattice
-from codapol.sweep import FSInit, SweepSpec, run_sweep
+from codapol.sweep import InitSpec, SweepSpec, run_sweep
 
 from helpers import (
     boundary_orbit,
@@ -221,7 +221,7 @@ def test_05_bifurcation_regimes():
         base_params=REFERENCE_PARAMS,
         swept_param="beta",
         grid=main_grid,
-        initial=FSInit(theta0=0.4, p0=100.0),
+        initial=InitSpec("fs", p0=100.0, theta0=0.4),
         graph_spec=GraphSpec(kind="complete", n=20),
         transient=10_000,
         tail=1024,
@@ -232,7 +232,7 @@ def test_05_bifurcation_regimes():
         base_params=REFERENCE_PARAMS,
         swept_param="beta",
         grid=tuple(0.30 + i * 0.01 for i in range(20)),
-        initial=FSInit(theta0=0.4, p0=100.0),
+        initial=InitSpec("fs", p0=100.0, theta0=0.4),
         graph_spec=GraphSpec(kind="complete", n=20),
         transient=10_000,
         tail=1024,

@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codapol import cli
 from codapol.analysis import classify_states
 from codapol.cli import main
-from codapol.dynamics import ModelParams, fs_initial_state, simulate
+from codapol.dynamics import ModelParams, fs_initial_state, random_opinions, simulate
 from codapol.graph import complete_graph
 
 BASE_SECTIONS = """
@@ -204,7 +203,7 @@ class TestSweepCommand:
             seen.update(theta=theta.copy(), p=p.copy())
             return classify_states(theta, p, **kwargs)
 
-        monkeypatch.setattr(cli, "classify_states", recording_classify)
+        monkeypatch.setattr("codapol.sweep.classify_states", recording_classify)
         block = (
             "classify",
             f"\n[classify]\ntransient = {transient}\ntail = {tail}\nmax_period = 128\n",
@@ -254,6 +253,22 @@ class TestDeterminism:
         assert main(["--config", str(out1 / "manifest.txt"), "--out", str(out2),
                      "--threads", "3", "--quiet"]) == 0
         assert self.read_csvs(out1) == self.read_csvs(out2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [SWEEP_BLOCK, GALLERY_BLOCK], ids=["sweep", "gallery"])
+    def test_opinion_file_matches_random_start(self, tmp_path, block, threads):
+        # the file holds exactly the opinions a random start with seed 9 draws
+        ops = tmp_path / "ops.txt"
+        ops.write_text("".join(f"{v:.17g}\n" for v in random_opinions(9, 16)))
+        lattice = BASE_SECTIONS.replace("kind = complete\nn = 20", "kind = lattice\nside = 4")
+        csvs = []
+        for kind, init in (("random", "kind = random"), ("file", f"kind = file\npath = {ops}")):
+            sections = lattice.replace("kind = fs\ntheta0 = 0.4", init)
+            cfg = write_config(tmp_path, block, tmp_path / kind, name=f"{kind}.txt", seed=9,
+                               sections=sections, threads=threads)
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+            csvs.append(self.read_csvs(tmp_path / kind))
+        assert csvs[0] == csvs[1] and len(csvs[0]) == 1
 
     def test_seed_override_recorded_and_effective(self, tmp_path):
         sections = BASE_SECTIONS.replace("kind = fs\ntheta0 = 0.4", "kind = random")
@@ -339,6 +354,32 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: key 'seed' in [graph]: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("kind = complete\nn = 20", "kind = edgelist\npath = {edges}", "no neighbors"),
+        ("p0 = 100", "p0 = 15", "threshold"),
+    ], ids=["edgelist-agent-without-neighbors", "p0-on-threshold"])
+    @pytest.mark.parametrize("block", [
+        SIMULATE_BLOCK, SWEEP_BLOCK, GALLERY_BLOCK,
+        ("classify", "\n[classify]\ntransient = 10\ntail = 8\nmax_period = 4\n"),
+    ], ids=["simulate", "sweep", "gallery", "classify"])
+    def test_failed_start_writes_no_manifest(self, tmp_path, capsys, old, new, match, block):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("N 3 directed=0\n0 1\n")
+        out = tmp_path / "o"
+        sections = BASE_SECTIONS.replace(old, new.format(edges=edges))
+        cfg = write_config(tmp_path, block, out, sections=sections)
+        assert main(["--config", str(cfg)]) == 1
+        assert match in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_failed_sweep_point_writes_no_manifest(self, tmp_path):
+        block = ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.45\ntransient = 10\n"
+                          "tail = 64\nmax_period = 128\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, block, out)
+        assert main(["--config", str(cfg)]) == 2
+        assert not (out / "manifest.txt").exists()
 
     def test_precondition_error_exits_one(self, tmp_path, capsys):
         # initial pollution exactly on the threshold violates the tie rule

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from codapol.config import COMMANDS, ConfigError, InitConfig, RunConfig, parse_config, render_config
+from codapol.config import COMMANDS, ConfigError, RunConfig, parse_config, render_config
 from codapol.dynamics import ModelParams
 from codapol.graph import GraphSpec
+from codapol.sweep import InitSpec
 
 SIM_TEXT = """
 # weak-coupling run on the complete graph
@@ -74,7 +75,7 @@ class TestParse:
         assert cfg.graph == GraphSpec(kind="complete", n=20)
         assert cfg.params == ModelParams(beta=0.45, gamma=0.5, e_min=0.0,
                                          e_max=1.0, p_bar=15.0)
-        assert cfg.init == InitConfig(kind="fs", p0=100.0, theta0=0.4)
+        assert cfg.init == InitSpec(kind="fs", p0=100.0, theta0=0.4)
         assert cfg.steps == 500 and cfg.stride == 1
         assert cfg.seed == 7
         assert cfg.out == "runs/demo"
@@ -194,15 +195,6 @@ class TestParse:
         with pytest.raises(ConfigError, match=match):
             parse_config(SIM_TEXT.replace(old, new))
 
-    def test_sweep_rejects_file_init(self, tmp_path):
-        opfile = tmp_path / "ops.txt"
-        opfile.write_text("0.5\n" * 20)
-        text = sweep_text("grid = 0.6,0.7").replace(
-            "kind = fs\ntheta0 = 0.4", f"kind = file\npath = {opfile}"
-        )
-        with pytest.raises(ConfigError, match="fs or random"):
-            parse_config(text)
-
 
 class TestGrid:
     def test_explicit_list(self):
@@ -236,10 +228,17 @@ class TestGrid:
         ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = -0.1", "grid_step must be positive"),
         ("grid_start = 0.9\ngrid_stop = 0.5\ngrid_step = 0.1",
          "grid_stop must not be below grid_start"),
+        ("grid = 0.7, 0.6", r"key 'grid' in \[sweep\]: values must be strictly increasing"),
+        ("grid = 0.6, 0.6", r"key 'grid' in \[sweep\]: values must be strictly increasing"),
     ])
     def test_bad_grid_rejected(self, grid_lines, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(sweep_text(grid_lines))
+
+    def test_gallery_betas_keep_any_order(self):
+        text = sweep_text("").replace("command = sweep", "command = gallery").replace(
+            "[sweep]\nparam = beta\n\ntransient", "[gallery]\nbetas = 0.999,0.45,0.45\ntransient")
+        assert parse_config(text).betas == (0.999, 0.45, 0.45)
 
     @pytest.mark.parametrize("param,grid_lines,value,reason", [
         ("beta", "grid = 0.45,1.5", "1.5", r"beta must lie in \[0, 1\], got 1.5"),
@@ -316,9 +315,9 @@ GRAPHS = {
     "edgelist": GraphSpec(kind="edgelist", path="edges.txt"),
 }
 INITS = {
-    "fs": InitConfig(kind="fs", p0=100.0, theta0=0.4),
-    "random": InitConfig(kind="random", p0=1.5),
-    "file": InitConfig(kind="file", p0=3.0, path="ops.txt"),
+    "fs": InitSpec(kind="fs", p0=100.0, theta0=0.4),
+    "random": InitSpec(kind="random", p0=1.5),
+    "file": InitSpec(kind="file", p0=3.0, path="ops.txt"),
 }
 COMMAND_FIELDS = {
     "simulate": dict(steps=500, stride=3),
@@ -328,8 +327,7 @@ COMMAND_FIELDS = {
     "gallery": dict(betas=(0.45, 0.7, 0.999), transient=0, tail=1, max_period=1),
     "classify": dict(transient=1000, tail=512),
 }
-ALLOWED = [(command, graph, init) for command in COMMANDS for graph in GRAPHS for init in INITS
-           if not (command in ("sweep", "gallery") and init == "file")]
+ALLOWED = [(command, graph, init) for command in COMMANDS for graph in GRAPHS for init in INITS]
 
 
 class TestRoundTripEveryVariant:
@@ -361,7 +359,7 @@ class TestRenderRejectsValuesThatCannotRoundTrip:
             render_config(cfg)
 
     def test_path(self):
-        cfg = replace(parse_config(SIM_TEXT), init=InitConfig(kind="file", p0=1.0, path="a#b"))
+        cfg = replace(parse_config(SIM_TEXT), init=InitSpec(kind="file", p0=1.0, path="a#b"))
         with pytest.raises(ConfigError, match=r"'path' in \[init\]"):
             render_config(cfg)
 

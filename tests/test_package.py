@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 import codapol
+from codapol.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_exports_only_classes_and_functions():
@@ -18,7 +21,7 @@ def test_all_exports_only_classes_and_functions():
 def test_readme_python_api_block_states_its_values():
     # each line "expr  # <literal>[: prose]" of the README's "Python API"
     # block must evaluate to the literal its comment states
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     block = re.search(r"## Python API\n\n```python\n(.*?)```", text, re.S).group(1)
     namespace: dict = {}
     checked = 0
@@ -32,3 +35,19 @@ def test_readme_python_api_block_states_its_values():
         assert got == (pytest.approx(want) if isinstance(want, float) else want), line
         checked += 1
     assert checked >= 5
+
+
+def test_readme_quick_start_config_runs(tmp_path):
+    # the Quick start config, run as documented, writes what the Commands
+    # table lists for simulate (no grid.csv: its graph is not a lattice)
+    text = README.read_text()
+    config = re.search(r"## Quick start\n.*?```ini\n(.*?)```", text, re.S).group(1)
+    assert "command = simulate" in config and "kind = complete" in config
+    outputs = re.search(r"^\| `simulate` +\|[^|]*\|(.*)\|$", text, re.M).group(1)
+    listed = re.findall(r"`([\w.]+)`", outputs.partition("plus")[0])
+    path = tmp_path / "demo.txt"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.txt", *listed])
+    assert listed == ["trajectory.csv", "clusters.csv"]

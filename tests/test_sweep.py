@@ -26,8 +26,7 @@ from codapol.graph import (
 )
 from codapol.sweep import (
     SWEEPABLE,
-    FSInit,
-    RandomInit,
+    InitSpec,
     SweepError,
     SweepRow,
     SweepSpec,
@@ -58,7 +57,7 @@ def fs_spec(grid, transient=2000, tail=512, max_period=128, **kwargs):
         base_params=BASE,
         swept_param="beta",
         grid=tuple(grid),
-        initial=FSInit(theta0=0.4, p0=100.0),
+        initial=InitSpec("fs", p0=100.0, theta0=0.4),
         graph_spec=COMPLETE_20,
         transient=transient,
         tail=tail,
@@ -111,21 +110,30 @@ class TestInitSpecs:
     def test_fs_init_rejects_non_finite(self, theta0, p0):
         name = "theta0" if not math.isfinite(theta0) else "p0"
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            FSInit(theta0=theta0, p0=p0)
+            InitSpec("fs", p0=p0, theta0=theta0)
 
     @pytest.mark.parametrize("p0", [math.nan, math.inf, -math.inf])
     def test_random_init_rejects_non_finite_p0(self, p0):
         with pytest.raises(ValueError, match="p0 must be finite"):
-            RandomInit(seed=9, p0=p0)
+            InitSpec("random", p0=p0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_random_init_rejects_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
-            RandomInit(seed=seed, p0=100.0)
+            fs_spec([0.45], initial=InitSpec("random", p0=100.0), seed=seed)
 
     def test_random_init_accepts_seed_range_ends(self):
-        assert RandomInit(seed=0, p0=100.0).seed == 0
-        assert RandomInit(seed=2**64 - 1, p0=100.0).seed == 2**64 - 1
+        for seed in (0, 2**64 - 1):
+            assert fs_spec([0.45], initial=InitSpec("random", p0=100.0), seed=seed).seed == seed
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown init kind 'sync'"):
+            InitSpec("sync", p0=100.0, theta0=0.4)
+
+    @pytest.mark.parametrize("kind, field", [("fs", "theta0"), ("file", "path")])
+    def test_missing_field_rejected(self, kind, field):
+        with pytest.raises(ValueError, match=f"{kind} init spec needs {field}"):
+            InitSpec(kind, p0=100.0)
 
 
 class TestRunSweep:
@@ -200,7 +208,7 @@ class TestRunSweep:
             path.write_text(graph_spec.path)
             graph_spec = replace(graph_spec, path=str(path))
         spec = fs_spec([0.3, 0.6, 0.95], transient=200, tail=260, max_period=128,
-                       initial=RandomInit(seed=9, p0=100.0), graph_spec=graph_spec)
+                       initial=InitSpec("random", p0=100.0), seed=9, graph_spec=graph_spec)
         rows = run_sweep(spec)
         graph = graph_spec.build()
         opinions0 = random_opinions(9, graph.n_agents)
@@ -215,9 +223,9 @@ class TestRunSweep:
             assert np.array_equal(row.p_samples, traj.pollution[spec.transient + 1:])
 
     @pytest.mark.parametrize("initial, match", [
-        (FSInit(theta0=1.0, p0=100.0), "agent 0"),
-        (FSInit(theta0=0.4, p0=15.0), "threshold"),
-        (RandomInit(seed=9, p0=15.0), "threshold"),
+        (InitSpec("fs", p0=100.0, theta0=1.0), "agent 0"),
+        (InitSpec("fs", p0=15.0, theta0=0.4), "threshold"),
+        (InitSpec("random", p0=15.0), "threshold"),
     ])
     def test_invalid_initial_rejected(self, initial, match):
         spec = fs_spec([0.45, 0.999], initial=initial)
@@ -230,7 +238,7 @@ class TestRunSweep:
         spec = fs_spec(
             [0.3, 0.45],
             transient=300, tail=260, max_period=128,
-            initial=RandomInit(seed=9, p0=100.0),
+            initial=InitSpec("random", p0=100.0), seed=9,
             graph_spec=GraphSpec(kind="lattice", side=4),
         )
         rows = run_sweep(spec)
@@ -359,7 +367,7 @@ class TestFsQuotient:
         transient = data.draw(st.integers(0, 300), label="transient")
         threads = data.draw(st.sampled_from([1, 2]), label="threads")
         spec = fs_spec(grid, swept_param=swept, transient=transient, tail=40,
-                       max_period=16, initial=FSInit(theta0=theta0, p0=100.0),
+                       max_period=16, initial=InitSpec("fs", p0=100.0, theta0=theta0),
                        graph_spec=graph_spec)
         with pytest.MonkeyPatch.context() as mp:
             calls = neighbor_mean_calls(mp)
@@ -438,7 +446,7 @@ class TestFsQuotient:
     @pytest.mark.parametrize("theta0", [0.4, -0.999999, 1e-300])
     def test_mixed_regimes(self, theta0):
         spec = fs_spec([0.3, 0.52, 0.999], transient=2000, tail=256, max_period=128,
-                       initial=FSInit(theta0=theta0, p0=100.0))
+                       initial=InitSpec("fs", p0=100.0, theta0=theta0))
         rows = assert_rows_match_full_runs(spec, threads=2)
         assert {row.attractor.kind for row in rows} == {"fixed", "cycle", "aperiodic"}
 
@@ -567,7 +575,7 @@ class TestSweepCsv:
             spec = fs_spec([0.45, 0.52, 0.999], transient=300, tail=256, max_period=128)
         else:
             spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256, max_period=128,
-                           initial=RandomInit(seed=9, p0=100.0),
+                           initial=InitSpec("random", p0=100.0), seed=9,
                            graph_spec=GraphSpec(kind="lattice", side=4))
         rows = run_sweep(spec)
         assert {row.is_fs for row in rows} == {fs}
