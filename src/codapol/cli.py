@@ -56,8 +56,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
     """
     manifest = render_config(cfg)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "manifest.txt"]
+
+    def output(name: str) -> Path:
+        """Path of output ``name``, listed in ``written``.  The directory is made
+        here, at the first output, so a run that fails before it leaves none."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written.append(out_dir / name)
+        return written[-1]
 
     if cfg.command in ("simulate", "clusters"):
         graph = cfg.graph.build()
@@ -65,35 +71,23 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
                                cfg.params)
         traj = simulate(state0, graph, cfg.params, cfg.steps, cfg.stride)
         if cfg.command == "simulate":
-            path = out_dir / "trajectory.csv"
-            traj.write_csv(path)
-            written.append(path)
+            traj.write_csv(output("trajectory.csv"))
         reports = find_preserved_clusters(traj, graph, cfg.params.beta)
-        path = out_dir / "clusters.csv"
-        write_cluster_csv(reports, path)
-        written.append(path)
+        write_cluster_csv(reports, output("clusters.csv"))
         if cfg.graph.kind == "lattice":
-            path = out_dir / "grid.csv"
-            write_lattice_grid_csv(traj, cfg.graph.side, reports, path)
-            written.append(path)
+            write_lattice_grid_csv(traj, cfg.graph.side, reports, output("grid.csv"))
     elif cfg.command == "sweep":
         rows = run_sweep(_sweep_spec(cfg, cfg.grid, cfg.sweep_param), threads=cfg.threads)
-        path = out_dir / "bifurcation.csv"
-        write_bifurcation_csv(rows, path)
-        written.append(path)
+        write_bifurcation_csv(rows, output("bifurcation.csv"))
     elif cfg.command == "gallery":
         base = _sweep_spec(cfg, (cfg.params.beta,), "beta")
-        entries = attractor_gallery(cfg.betas, base)
-        path = out_dir / "gallery.csv"
-        write_gallery_csv(entries, path)
-        written.append(path)
+        write_gallery_csv(attractor_gallery(cfg.betas, base), output("gallery.csv"))
     elif cfg.command == "classify":
         (row,) = run_sweep(_sweep_spec(cfg, (cfg.params.beta,), "beta"))
         attractor = row.attractor
-        path = out_dir / "classification.csv"
         period = attractor.period if attractor.kind == "cycle" else ""
-        _write_csv(path, "class,period", "%s,%s", [(attractor.kind, period)])
-        written.append(path)
+        _write_csv(output("classification.csv"), "class,period", "%s,%s",
+                   [(attractor.kind, period)])
 
     written[0].write_text(manifest)
     if not quiet:

@@ -268,21 +268,67 @@ def fs_initial_state(theta0: float, n_agents: int, pollution: float,
     )
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that is not an int in [0, 2**64); a bool is not a seed."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
+# Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of each 128-bit product a * b, by 32-bit halves."""
+    a_hi, a_lo = a >> 32, a & _LOW32
+    b_hi, b_lo = b >> 32, b & _LOW32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = (a_lo * b_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), a * b
+
+
+def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 blocks: four uint64 counter words (arrays) and two key words
+    (ints) to the four output words.  uint64 arrays wrap mod 2**64 silently, as
+    the generator does; the key schedule takes Python ints mod 2**64, since
+    numpy scalars warn when they wrap."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
 def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     """I.i.d. uniform opinions on (-1, 1), deterministic and order-independent.
 
-    Agent i's draw comes from its own counter block of a counter-based
-    generator keyed by ``seed``, so the result depends only on (seed, i).
-    Draws of exactly 0 or -1 are rejected and redrawn within the block.
+    Agent i's opinion is numpy's ``Generator(Philox(key=seed, counter=i << 64))
+    .uniform(-1, 1)``, redrawn while it is 0 or -1, so it depends only on
+    (seed, i).  Philox is counter-based (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11): that generator's first draw is
+    ``-1 + 2 (w >> 11) 2**-53``, where w is word 0 of the Philox4x64-10 block
+    at counter [1, i, 0, 0] under key (seed, 0), so one array pass computes
+    every agent's first draw.  Only agents whose first draw is rejected
+    (probability 2**-52 each) run their own generator, from its second draw.
     """
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    _check_seed(seed)
     if n_agents < 0:
         raise ValueError(f"n_agents must be nonnegative, got {n_agents}")
-    out = np.empty(n_agents, dtype=np.float64)
-    for i in range(n_agents):
+    seed = int(seed)
+    zeros = np.zeros(n_agents, dtype=np.uint64)
+    word0 = _philox4x64((zeros + 1, np.arange(n_agents, dtype=np.uint64), zeros, zeros),
+                        (seed, 0))[0]
+    out = -1.0 + 2.0 * ((word0 >> 11) * 2.0**-53)
+    for i in np.flatnonzero((out == 0.0) | (np.abs(out) == 1.0)).tolist():
         gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
-        u = gen.uniform(-1.0, 1.0)
+        gen.random()  # the first draw, rejected above
+        u = 0.0
         while u == 0.0 or abs(u) == 1.0:
             u = gen.uniform(-1.0, 1.0)
         out[i] = u

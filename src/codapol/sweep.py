@@ -26,13 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import AttractorClass, classify_states
-from .dynamics import ModelParams, SimState, Trajectory, _check_initial, _run, _write_csv
-from .dynamics import initial_state, quantize_opinion, random_opinions, simulate
+from .dynamics import ModelParams, SimState, Trajectory, _check_initial, _check_seed, _run
+from .dynamics import _write_csv, initial_state, quantize_opinion, random_opinions, simulate
 from .graph import GraphSpec
 
 
 class SweepError(RuntimeError):
-    """A single grid point failed; the offending value is named in the message."""
+    """A single grid point failed; the message names the swept parameter and value."""
 
 
 # The fields beyond p0 that each kind of initial condition needs.
@@ -119,8 +119,7 @@ class SweepSpec:
             raise ValueError(f"max_period must be positive, got {self.max_period}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+        _check_seed(self.seed)
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base_params, **{self.swept_param: value})
@@ -158,7 +157,7 @@ def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
                 tail_theta[j], tail_p[j], tol=spec.tol, max_period=spec.max_period
             )
         except Exception as exc:
-            raise SweepError(f"grid value {v!r}: {exc}") from exc
+            raise SweepError(f"{spec.swept_param} = {v!r}: {exc}") from exc
         if spec.initial.kind == "fs":
             samples = tail_theta[j, :, 0].copy()
         else:
@@ -216,7 +215,7 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
                 tol=base.tol, max_period=base.max_period,
             )
         except Exception as exc:
-            raise SweepError(f"grid value {b!r}: {exc}") from exc
+            raise SweepError(f"beta = {b!r}: {exc}") from exc
         entries.append((float(b), traj, attractor))
     return entries
 

@@ -190,6 +190,25 @@ def run_loop(state, graph, params, n_steps):
             np.array(qs, dtype=np.int8), np.array(qps, dtype=np.int8))
 
 
+def agent_uniforms(seed, i):
+    """Agent i's stream of uniform(-1, 1) draws: a numpy Philox generator of its own,
+    keyed by ``seed``, at counter i << 64."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+    while True:
+        yield gen.uniform(-1.0, 1.0)
+
+
+def first_valid(draws):
+    """The first draw that is neither 0 nor +-1."""
+    return next(u for u in draws if u != 0.0 and abs(u) != 1.0)
+
+
+def random_opinions_loop(seed, n_agents):
+    """Reference random start, one generator per agent: each agent's first valid draw."""
+    return np.array([first_valid(agent_uniforms(seed, i)) for i in range(n_agents)],
+                    dtype=np.float64)
+
+
 def count_preservation_violations(traj, graph, beta):
     """Violations of action preservation under a favorable field sign.
 

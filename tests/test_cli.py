@@ -315,9 +315,13 @@ class TestExitCodes:
             "classify",
             "\n[classify]\ntransient = 10\ntail = 64\nmax_period = 128\n",
         )
-        cfg = write_config(tmp_path, block, tmp_path / "o")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, block, out)
         assert main(["--config", str(cfg)]) == 2
-        assert "64" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: beta = 0.45: tail of 64 samples")
+        assert "grid value" not in err
+        assert not out.exists()
 
     def test_sweep_point_failure_exits_two_naming_value(self, tmp_path, capsys):
         block = (
@@ -327,7 +331,7 @@ class TestExitCodes:
         )
         cfg = write_config(tmp_path, block, tmp_path / "o")
         assert main(["--config", str(cfg)]) == 2
-        assert "0.45" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("runtime error: beta = 0.45: ")
 
     @pytest.mark.parametrize("block,key,section", [
         (("gallery", "\n[gallery]\nbetas = 0.45,1.5\ntransient = 10\ntail = 8\n"),
@@ -371,7 +375,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, block, out, sections=sections)
         assert main(["--config", str(cfg)]) == 1
         assert match in capsys.readouterr().err
-        assert not (out / "manifest.txt").exists()
+        assert not out.exists()
 
     def test_failed_sweep_point_writes_no_manifest(self, tmp_path):
         block = ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.45\ntransient = 10\n"
@@ -379,7 +383,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         cfg = write_config(tmp_path, block, out)
         assert main(["--config", str(cfg)]) == 2
-        assert not (out / "manifest.txt").exists()
+        assert not out.exists()
 
     def test_precondition_error_exits_one(self, tmp_path, capsys):
         # initial pollution exactly on the threshold violates the tie rule

@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from codapol.dynamics import (
     ModelParams,
     SimState,
+    _philox4x64,
     emissions,
     fs_initial_state,
     initial_state,
@@ -26,11 +31,14 @@ from codapol.graph import complete_graph, random_graph
 
 from helpers import (
     SPECIAL_FLOATS,
+    agent_uniforms,
     count_preservation_violations,
     count_trichotomy_violations,
+    first_valid,
     is_rounding_event,
     local_field,
     neighbors,
+    random_opinions_loop,
     run_loop,
     write_trajectory_csv_per_row,
 )
@@ -512,7 +520,7 @@ class TestRandomOpinions:
     def test_different_seeds_differ(self):
         assert not np.array_equal(random_opinions(1, 10), random_opinions(2, 10))
 
-    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, "3"])
+    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, "3", True, False, np.bool_(True)])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             random_opinions(seed, 3)
@@ -524,6 +532,67 @@ class TestRandomOpinions:
     def test_negative_agent_count_rejected(self):
         with pytest.raises(ValueError, match="n_agents must be nonnegative, got -1"):
             random_opinions(7, -1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1,
+                                      np.uint64(2**64 - 1)], ids=repr)
+    def test_matches_per_agent_generators(self, seed, n):
+        got = random_opinions(seed, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == random_opinions_loop(seed, n).tobytes()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_agent_generators_at_any_seed(self, seed, n):
+        assert random_opinions(seed, n).tobytes() == random_opinions_loop(seed, n).tobytes()
+
+    # Random123's published known-answer vectors for Philox4x64-10:
+    # (counter, key) -> block, each word in hex.
+    @pytest.mark.parametrize("counter, key, block", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x16554d9eca36314c, 0xdb20fe9d672d0fdc, 0xd7e772cee186176b, 0x7e68b68aec7ba23b)),
+        ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+         (0x87b092c3013fe90b, 0x438c3c67be8d0224, 0x9cc7d7c69cd777b6, 0xa09caebf594f0ba0)),
+        ((0x243f6a8885a308d3, 0x13198a2e03707344, 0xa4093822299f31d0, 0x082efa98ec4e6c89),
+         (0x452821e638d01377, 0xbe5466cf34e90c6c),
+         (0xa528f45403e61d95, 0x38c72dbd566e9788, 0xa5a1610e72fd18b5, 0x57bd43b5e52b7fe6)),
+    ], ids=["zeros", "ones", "pi"])
+    def test_philox_known_answers(self, counter, key, block):
+        words = _philox4x64(tuple(np.array([c], dtype=np.uint64) for c in counter), key)
+        assert [int(w[0]) for w in words] == list(block)
+
+    def test_rejected_first_draws_are_redrawn_by_their_generators(self, monkeypatch):
+        # word 0 = 0 gives u = -1 and 2**63 gives u = 0: both are drawn again
+        # from the agent's own generator, every other agent keeps its draw
+        seed, n, rejected = 20240, 50, {3: 0, 41: 2**63}
+        real = _philox4x64
+
+        def forced(counter, key):
+            words = real(counter, key)
+            for i, w in rejected.items():
+                words[0][i] = w
+            return words
+
+        monkeypatch.setattr("codapol.dynamics._philox4x64", forced)
+        got, want = random_opinions(seed, n), random_opinions_loop(seed, n)
+        for i in rejected:
+            draws = agent_uniforms(seed, i)
+            next(draws)  # the rejected first draw
+            want[i] = first_valid(draws)
+        assert got.tobytes() == want.tobytes()
+
+    def test_leaves_numpy_random_unimported(self):
+        # numpy imports numpy.random lazily; a random start without redraws never needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys; from codapol import cli; from codapol.dynamics import "
+                "random_opinions; random_opinions(3, 1000); "
+                "print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestTrajectoryCsv:

@@ -117,7 +117,7 @@ class TestInitSpecs:
         with pytest.raises(ValueError, match="p0 must be finite"):
             InitSpec("random", p0=p0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
     def test_random_init_rejects_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             fs_spec([0.45], initial=InitSpec("random", p0=100.0), seed=seed)
@@ -250,8 +250,15 @@ class TestRunSweep:
 
     def test_point_failure_names_grid_value(self):
         spec = fs_spec([0.45], tail=100, max_period=128)  # tail < 2 * max_period
-        with pytest.raises(SweepError, match="0.45"):
+        with pytest.raises(SweepError, match=r"^beta = 0\.45: tail of 100 samples"):
             run_sweep(spec)
+
+    def test_point_failure_names_swept_parameter(self):
+        spec = fs_spec([40.0], swept_param="p_bar", tail=100, max_period=128)
+        with pytest.raises(SweepError, match=r"^p_bar = 40\.0: tail of 100 samples"):
+            run_sweep(spec)
+        with pytest.raises(SweepError, match=r"^beta = 0\.6: tail of 100 samples"):
+            attractor_gallery([0.6], spec)
 
     def test_swept_pollution_threshold(self):
         # thresholds below the reachable corridor keep the signal pinned at -1,
