@@ -294,25 +294,20 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-
             f"tail of {n_tail} samples cannot resolve periods up to {max_period}; "
             f"need at least {2 * max_period}"
         )
-    states = np.column_stack([thetas, pollutions])
+    # an FS tail broadcasts one column to all agents (stride 0): measure that column
+    cols = thetas[:, :1] if thetas.ndim == 2 and thetas.strides[1] == 0 else thetas
+    states = np.column_stack([cols, pollutions])
     earlier = states[n_tail - 1 - max_period:n_tail - 1][::-1]
     gaps = np.max(np.abs(states[-1] - earlier), axis=1)
     for m in (np.flatnonzero(gaps < tol) + 1).tolist():
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
                 return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))
-            return LimitCycle(
-                period=m,
-                cycle_samples=tuple(
-                    (thetas[n_tail - m + j].copy(), float(pollutions[n_tail - m + j]))
-                    for j in range(m)
-                ),
-            )
+            return LimitCycle(period=m, cycle_samples=tuple(zip(
+                thetas[n_tail - m:].copy(), pollutions[n_tail - m:].tolist())))
     keep = min(n_tail, 256)
     idx = np.unique(np.linspace(0, n_tail - 1, keep).round().astype(int))
-    return Aperiodic(
-        samples=tuple((thetas[i].copy(), float(pollutions[i])) for i in idx)
-    )
+    return Aperiodic(samples=tuple(zip(thetas[idx], pollutions[idx].tolist())))
 
 
 def classify_attractor(trajectory_tail: Sequence, tol: float = 1e-9,
@@ -325,11 +320,11 @@ def classify_attractor(trajectory_tail: Sequence, tol: float = 1e-9,
 
 def write_cluster_csv(reports: Sequence[ClusterReport], path) -> None:
     """Export cluster certificates: cluster_id,size,action,weak,strong,worst_slack."""
-    _write_csv(path, "cluster_id,size,action,weak,strong,worst_slack", "%d,%d,%d,%d,%d,%.17g", (
-        (cid, rep.size, rep.action, rep.weakly_robust, rep.strongly_robust,
-         rep.worst_strong_slack)
-        for cid, rep in enumerate(reports)
-    ))
+    ints = np.array([(rep.size, rep.action, rep.weakly_robust, rep.strongly_robust)
+                     for rep in reports], dtype=np.int64).reshape(-1, 4)
+    slack = np.array([rep.worst_strong_slack for rep in reports], dtype=np.float64)
+    _write_csv(path, "cluster_id,size,action,weak,strong,worst_slack",
+               [[np.arange(len(reports)), ints, slack]])
 
 
 def write_lattice_grid_csv(trajectory: Trajectory, side: int,
@@ -342,6 +337,5 @@ def write_lattice_grid_csv(trajectory: Trajectory, side: int,
     n = trajectory.n_agents
     strong = _mask((i for rep in reports if rep.strongly_robust for i in rep.members), n, "member")
     row, col = np.divmod(np.arange(n), side)
-    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster", "%d,%d,%.17g,%d,%d",
-               zip(row.tolist(), col.tolist(), trajectory.opinions[-1].tolist(),
-                   trajectory.actions[-1].tolist(), strong.tolist()))
+    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster",
+               [[row, col, trajectory.opinions[-1], trajectory.actions[-1], strong]])

@@ -86,8 +86,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         (row,) = run_sweep(_sweep_spec(cfg, (cfg.params.beta,), "beta"))
         attractor = row.attractor
         period = attractor.period if attractor.kind == "cycle" else ""
-        _write_csv(output("classification.csv"), "class,period", "%s,%s",
-                   [(attractor.kind, period)])
+        _write_csv(output("classification.csv"), "class,period",
+                   [[([f"{attractor.kind},{period}"], [0])]])
 
     written[0].write_text(manifest)
     if not quiet:

@@ -19,15 +19,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import count, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import AttractorClass, classify_states
-from .dynamics import ModelParams, SimState, Trajectory, _check_initial, _check_seed, _run
-from .dynamics import _write_csv, initial_state, quantize_opinion, random_opinions, simulate
+from .dynamics import _BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_initial, _check_seed
+from .dynamics import _run, _write_csv, initial_state, quantize_opinion, random_opinions, simulate
 from .graph import GraphSpec
 
 
@@ -221,25 +220,31 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
 
 
 def write_bifurcation_csv(rows: Sequence[SweepRow], path) -> None:
-    """Export scatter data: param_value,class,period,sample_index,theta_sample,p_sample."""
-    def lines():
-        for row in rows:
-            kind = row.attractor.kind
-            period = row.attractor.period if kind == "cycle" else ""
-            head = f"{row.param_value:.17g},{kind},{period},"
-            yield from zip(repeat(head), count(), row.scatter_thetas().tolist(),
-                           row.p_samples.tolist())
+    """Export scatter data: param_value,class,period,sample_index,theta_sample,p_sample.
 
-    _write_csv(path, "param_value,class,period,sample_index,theta_sample,p_sample",
-               "%s%d,%.17g,%.17g", lines())
+    The writer gets whole rows in parts of about one block of 4-field lines,
+    as file-long columns would raise the peak memory.
+    """
+    def parts():
+        step = max(1, _BLOCK_FIELDS // 4 // max(1, len(rows[0].p_samples))) if rows else 1
+        for group in (rows[i:i + step] for i in range(0, len(rows), step)):
+            sizes = [len(row.p_samples) for row in group]
+            heads = ["%.17g,%s,%s" % (row.param_value, row.attractor.kind,
+                                      row.attractor.period if row.attractor.kind == "cycle" else "")
+                     for row in group]
+            yield [(heads, np.repeat(np.arange(len(group)), sizes)),
+                   np.concatenate([np.arange(n) for n in sizes]),
+                   np.concatenate([row.scatter_thetas() for row in group]),
+                   np.concatenate([row.p_samples for row in group])]
+
+    _write_csv(path, "param_value,class,period,sample_index,theta_sample,p_sample", parts())
 
 
 def write_gallery_csv(entries: Sequence[tuple[float, Trajectory, AttractorClass]],
                       path) -> None:
     """Export gallery trajectories: beta,tick,theta,p,class (agent-0 opinion)."""
-    _write_csv(path, "beta,tick,theta,p,class", "%.17g,%d,%.17g,%.17g,%s", (
-        (beta, tick, theta, p, attractor.kind)
+    _write_csv(path, "beta,tick,theta,p,class", (
+        [np.full(traj.n_snapshots, beta), traj.ticks, traj.opinions[:, 0], traj.pollution,
+         ([attractor.kind], np.zeros(traj.n_snapshots, dtype=np.intp))]
         for beta, traj, attractor in entries
-        for tick, theta, p in zip(traj.ticks.tolist(), traj.opinions[:, 0].tolist(),
-                                  traj.pollution.tolist())
     ))

@@ -620,6 +620,15 @@ class TestClassifyAttractor:
         assert out.period == 3
         assert [s[1] for s in out.cycle_samples] == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("tail", [[0.5] * 8, [0.5, -0.5] * 4, np.linspace(-0.9, 0.9, 8)],
+                             ids=["fixed", "cycle", "aperiodic"])
+    def test_state_vectors_do_not_alias_the_tail(self, tail):
+        thetas = np.column_stack([tail, tail])
+        out = classify_states(thetas, np.ones(8), max_period=2)
+        before = attractor_bytes(out)
+        thetas[:] = 7.0
+        assert attractor_bytes(out) == before
+
 
 def _recurring_last_state(rng):
     # the last state equals the one 5 ticks earlier, no other pair matches

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from codapol.dynamics import (
     ModelParams,
     SimState,
+    _BLOCK_FIELDS,
     _philox4x64,
+    _write_csv,
     emissions,
     fs_initial_state,
     initial_state,
@@ -533,6 +536,14 @@ class TestRandomOpinions:
         with pytest.raises(ValueError, match="n_agents must be nonnegative, got -1"):
             random_opinions(7, -1)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3", np.bool_(True)], ids=repr)
+    def test_non_int_agent_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_agents must be an int, got "):
+            random_opinions(7, n)
+
+    def test_numpy_int_agent_count_accepted(self):
+        assert random_opinions(7, np.int64(3)).tobytes() == random_opinions(7, 3).tobytes()
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5000])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1,
                                       np.uint64(2**64 - 1)], ids=repr)
@@ -595,6 +606,96 @@ class TestRandomOpinions:
         assert done.stdout.strip() == "False"
 
 
+# Doubles with edge-case %.17g forms: both zeros, the smallest subnormal, both
+# infinities, NaNs with payloads and either sign, the first doubles with 17 and
+# 18 integer digits, and the widest field (24 bytes).
+EDGE_FLOATS = (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan,
+               *struct.unpack("<2d", struct.pack("<2Q", 0x7FF0000000000001, 0xFFF8000000000123)),
+               1e16, 1e17, -2.2250738585072014e-308)
+ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from(EDGE_FLOATS),
+)
+ANY_INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([-2**63, 2**63 - 1]))
+LABELS = ("", "fixed", "cycle", "aperiodic", "0.5,cycle,12", "1e+308,fixed,")
+
+
+def csv_per_field(header, parts):
+    """Reference ``_write_csv`` text: one % call per field, one join per line."""
+    lines = [header]
+    for columns in parts:
+        n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+        for i in range(n):
+            fields = []
+            for col in columns:
+                if isinstance(col, tuple):
+                    fields.append(col[0][col[1][i]])
+                    continue
+                for x in np.atleast_1d(col[i]).tolist():
+                    fields.append("%.17g" % x if isinstance(x, float) else "%d" % x)
+            lines.append(",".join(fields))
+    return "".join(line + "\n" for line in lines)
+
+
+def random_part(rng, n, k):
+    """Columns of n lines: k random-bit doubles, an int64, a bool and a label per line."""
+    floats = rng.integers(0, 2**64, size=(n, k), dtype=np.uint64).view(np.float64)
+    ints = rng.integers(-2**63, 2**63, size=n, dtype=np.int64)
+    return [floats, ints, rng.random(n) < 0.5, (LABELS, rng.integers(0, len(LABELS), size=n))]
+
+
+class TestWriteCsv:
+    """``_write_csv`` against a per-field % oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_values(self, data, tmp_path_factory):
+        parts = []
+        for _ in range(data.draw(st.integers(1, 2), label="parts")):
+            n = data.draw(st.integers(0, 12), label="lines")
+            k = data.draw(st.integers(1, 3), label="k")
+            floats = data.draw(st.lists(ANY_FLOAT, min_size=n * k, max_size=n * k))
+            ints = data.draw(st.lists(ANY_INT64, min_size=n, max_size=n))
+            codes = data.draw(st.lists(st.integers(0, len(LABELS) - 1), min_size=n, max_size=n))
+            parts.append([np.array(floats, dtype=np.float64).reshape(n, k),
+                          np.array(ints, dtype=np.int64), (LABELS, np.array(codes, dtype=int)),
+                          np.array(floats[:n], dtype=np.float64)])
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        _write_csv(path, "h", parts)
+        assert path.read_bytes().decode() == csv_per_field("h", parts)
+
+    def test_edge_values_one_per_line(self, tmp_path):
+        floats = np.array(EDGE_FLOATS)
+        ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64), len(floats))
+        odd = np.arange(len(floats)) % 2
+        part = [floats, ints, odd == 0, (("", "x"), odd)]
+        _write_csv(tmp_path / "out.csv", "a,b,c,d", [part])
+        text = (tmp_path / "out.csv").read_text()
+        assert text == csv_per_field("a,b,c,d", [part])
+        assert "-2.2250738585072014e-308,0,1,\n" in text
+        assert ",-9223372036854775808," in text and ",9223372036854775807," in text
+        assert [line.split(",")[0] for line in text.split("\n")[1:-1]] == [
+            "0", "-0", "4.9406564584124654e-324", "inf", "-inf", "nan", "nan", "nan",
+            "10000000000000000", "1e+17", "-2.2250738585072014e-308"]
+
+    def test_no_lines(self, tmp_path):
+        empty = [np.empty((0, 2)), np.empty(0, dtype=np.int64), ((), np.empty(0, dtype=int))]
+        for parts in ([], [empty], [empty, empty]):
+            _write_csv(tmp_path / "out.csv", "a,b", parts)
+            assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_lines_around_block_boundary(self, tmp_path, delta):
+        # a random_part line holds 2 + 3 fields
+        n = _BLOCK_FIELDS // 5 + delta
+        rng = np.random.default_rng(n)
+        parts = [random_part(rng, n, 2), random_part(rng, 3, 2)]
+        _write_csv(tmp_path / "out.csv", "h", parts)
+        text = (tmp_path / "out.csv").read_text()
+        assert text == csv_per_field("h", parts)
+        assert text.count("\n") == n + 4
+
+
 class TestTrajectoryCsv:
     def test_header_and_round_trip(self, tmp_path):
         g, params, s0 = small_random_setup(3, n=4)
@@ -617,10 +718,12 @@ class TestTrajectoryCsv:
                 assert float(row[f"theta_{i}"]) == traj.opinions[s, i]
                 assert int(row[f"q_{i}"]) == traj.actions[s, i]
 
-    @pytest.mark.parametrize("case", ["simulated", "special"])
+    @pytest.mark.parametrize("case", ["simulated", "special", "blocks"])
     def test_bytes_match_per_row_writer(self, tmp_path, case):
         g, params, s0 = small_random_setup(3, n=len(SPECIAL_FLOATS))
-        traj = simulate(s0, g, params, 20, stride=5)
+        # 4001 snapshots of 3 + 2 x 7 fields span several writer blocks
+        traj = simulate(s0, g, params, 4000 if case == "blocks" else 20,
+                        stride=1 if case == "blocks" else 5)
         if case == "special":
             special = np.array(SPECIAL_FLOATS)
             traj = replace(

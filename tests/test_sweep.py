@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, classify_states
 from codapol.dynamics import (
+    _BLOCK_FIELDS,
     ModelParams,
     SimState,
     fs_initial_state,
@@ -576,10 +577,15 @@ class TestSweepCsv:
         assert bulk == (tmp_path / "per_row.csv").read_bytes()
         assert bulk.count(b"\n") == 1 + sum(traj.n_snapshots for _, traj, _ in entries)
 
-    @pytest.mark.parametrize("fs", [True, False], ids=["fs", "mean"])
-    def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, fs):
-        if fs:
+    @pytest.mark.parametrize("case", ["fs", "mean", "blocks"])
+    def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, case):
+        fs = case != "mean"
+        if case == "fs":
             spec = fs_spec([0.45, 0.52, 0.999], transient=300, tail=256, max_period=128)
+        elif case == "blocks":
+            # rows of one and a half writer blocks of 4-field lines
+            spec = fs_spec([0.45, 0.5, 0.52, 0.6, 0.7, 0.8, 0.999], transient=300,
+                           tail=_BLOCK_FIELDS * 3 // 8, max_period=128)
         else:
             spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256, max_period=128,
                            initial=InitSpec("random", p0=100.0), seed=9,
