@@ -11,7 +11,6 @@ from .analysis import (
     InsufficientDataError,
     LimitCycle,
     certify_cluster,
-    classify_attractor,
     classify_states,
     find_preserved_clusters,
     fs_action_equilibria,
@@ -27,7 +26,6 @@ from .dynamics import (
     ModelParams,
     SimState,
     Trajectory,
-    emissions,
     fs_initial_state,
     initial_state,
     local_fields,

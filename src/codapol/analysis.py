@@ -52,6 +52,14 @@ class Aperiodic:
 
 AttractorClass = Union[FixedPoint, LimitCycle, Aperiodic]
 
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_PERIOD = 256
+
+
+def class_period(attractor: AttractorClass) -> str:
+    """CSV text ``class,period`` of an attractor; the period is empty unless it is a cycle."""
+    return f"{attractor.kind},{attractor.period if attractor.kind == 'cycle' else ''}"
+
 
 @dataclass(frozen=True)
 class ClusterReport:
@@ -208,11 +216,13 @@ def same_action_components(actions, graph: Graph, agents=None) -> list[tuple[int
 def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -> list[ClusterReport]:
     """Certify the maximal constant-action components of a recorded run.
 
-    Agents whose action never changed over the trajectory are partitioned
+    Agents whose action is equal at every recorded snapshot are partitioned
     into connected components of the same-action subgraph and each component
-    is certified; reports come back ordered by smallest member index.  A
-    constant agent's neighbor is in its component exactly when it is constant
-    with the same action, so one labelling gives components and inside counts.
+    is certified; reports come back ordered by smallest member index.  At a
+    stride above 1, an agent that flips and flips back between two records
+    counts as constant.  A constant agent's neighbor is in its component exactly
+    when it is constant with the same action, so one labelling gives components
+    and inside counts.
     """
     if trajectory.n_snapshots < 1:
         raise ValueError("trajectory has no snapshots")
@@ -268,8 +278,8 @@ def fs_escape_bound(beta: float) -> int:
     return math.ceil(1.0 / (2.0 * beta - 1.0))
 
 
-def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-9,
-                    max_period: int = 256) -> AttractorClass:
+def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEFAULT_TOL,
+                    max_period: int = DEFAULT_MAX_PERIOD) -> AttractorClass:
     """Classify a post-transient tail given stacked state arrays.
 
     Scans candidate periods in increasing order, so a reported cycle period
@@ -308,14 +318,6 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = 1e-
     keep = min(n_tail, 256)
     idx = np.unique(np.linspace(0, n_tail - 1, keep).round().astype(int))
     return Aperiodic(samples=tuple(zip(thetas[idx], pollutions[idx].tolist())))
-
-
-def classify_attractor(trajectory_tail: Sequence, tol: float = 1e-9,
-                       max_period: int = 256) -> AttractorClass:
-    """Classify a tail given as a sequence of (opinion vector, pollution) pairs."""
-    thetas = np.asarray([np.asarray(v, dtype=np.float64) for v, _ in trajectory_tail])
-    ps = np.asarray([p for _, p in trajectory_tail], dtype=np.float64)
-    return classify_states(thetas, ps, tol=tol, max_period=max_period)
 
 
 def write_cluster_csv(reports: Sequence[ClusterReport], path) -> None:

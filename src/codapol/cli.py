@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .analysis import (
     InsufficientDataError,
+    class_period,
     find_preserved_clusters,
     write_cluster_csv,
     write_lattice_grid_csv,
@@ -84,10 +85,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         write_gallery_csv(attractor_gallery(cfg.betas, base), output("gallery.csv"))
     elif cfg.command == "classify":
         (row,) = run_sweep(_sweep_spec(cfg, (cfg.params.beta,), "beta"))
-        attractor = row.attractor
-        period = attractor.period if attractor.kind == "cycle" else ""
         _write_csv(output("classification.csv"), "class,period",
-                   [[([f"{attractor.kind},{period}"], [0])]])
+                   [[([class_period(row.attractor)], [0])]])
 
     written[0].write_text(manifest)
     if not quiet:

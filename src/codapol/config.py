@@ -25,12 +25,10 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .analysis import DEFAULT_MAX_PERIOD, DEFAULT_TOL
 from .dynamics import ModelParams
 from .graph import _GRAPH_KINDS, GraphSpec
 from .sweep import _INIT_KINDS, SWEEPABLE, InitSpec
-
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_PERIOD = 256
 
 
 class ConfigError(ValueError):

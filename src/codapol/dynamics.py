@@ -199,11 +199,6 @@ def quantize_pollution(p: float, p_bar: float, prev_qp: int) -> int:
     return prev_qp * (above == below) + below - above  # int first: numpy refuses bool - bool
 
 
-def emissions(actions, params: ModelParams) -> np.ndarray:
-    """Per-agent emission levels: e_max where the action is 1, e_min where -1."""
-    return np.where(np.asarray(actions) == 1, params.e_max, params.e_min)
-
-
 def _total_emission(n_plus, n_minus, e_min, e_max):
     """Total emission of n_plus agents at action 1 and n_minus at -1 (elementwise),
     by counts, which for equal summands matches the per-agent emission sum."""
@@ -245,10 +240,6 @@ def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
     computes the next pollution and every next opinion from tick-k
     quantities only.
     """
-    if state.n_agents != graph.n_agents:
-        raise ValueError(
-            f"state has {state.n_agents} agents but graph has {graph.n_agents}"
-        )
     thetas, ps, qs, qps = _run(state, graph, vars(params), [1])
     return SimState(
         opinions=thetas[0, 0].copy(),
@@ -316,6 +307,8 @@ def _check_seed(seed) -> None:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
+# Agents per Philox pass of random_opinions, which bounds its temporaries.
+_OPINION_BLOCK = 2**16
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +344,9 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     (seed, i).  Philox is counter-based (Salmon et al., "Parallel random
     numbers: as easy as 1, 2, 3", SC'11): that generator's first draw is
     ``-1 + 2 (w >> 11) 2**-53``, where w is word 0 of the Philox4x64-10 block
-    at counter [1, i, 0, 0] under key (seed, 0), so one array pass computes
-    every agent's first draw.  Only agents whose first draw is rejected
-    (probability 2**-52 each) run their own generator, from its second draw.
+    at counter [1, i, 0, 0] under key (seed, 0), so one array pass per block of
+    agents computes every agent's first draw.  Only agents whose first draw is
+    rejected (probability 2**-52 each) run their own generator, from its second draw.
     """
     _check_seed(seed)
     if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)):
@@ -361,10 +354,12 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     if n_agents < 0:
         raise ValueError(f"n_agents must be nonnegative, got {n_agents}")
     seed = int(seed)
-    zeros = np.zeros(n_agents, dtype=np.uint64)
-    word0 = _philox4x64((zeros + 1, np.arange(n_agents, dtype=np.uint64), zeros, zeros),
-                        (seed, 0))[0]
-    out = -1.0 + 2.0 * ((word0 >> 11) * 2.0**-53)
+    out = np.empty(n_agents)
+    for start in range(0, n_agents, _OPINION_BLOCK):
+        agents = np.arange(start, min(start + _OPINION_BLOCK, n_agents), dtype=np.uint64)
+        zeros = np.zeros_like(agents)
+        word0 = _philox4x64((zeros + 1, agents, zeros, zeros), (seed, 0))[0]
+        out[start:start + agents.size] = -1.0 + 2.0 * ((word0 >> 11) * 2.0**-53)
     for i in np.flatnonzero((out == 0.0) | (np.abs(out) == 1.0)).tolist():
         gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
         gen.random()  # the first draw, rejected above
@@ -395,6 +390,8 @@ def _run(initial: SimState, graph: Graph, par: dict,
     [P, C] state with [P, 1] columns.
     """
     n = graph.n_agents
+    if initial.n_agents != n:
+        raise ValueError(f"state has {initial.n_agents} agents but graph has {n}")
     n_pts = max(np.size(v) for v in par.values())
     p = float(initial.pollution)
     if n_pts == 1:
@@ -450,10 +447,6 @@ def simulate(initial: SimState, graph: Graph, params: ModelParams,
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    if initial.n_agents != graph.n_agents:
-        raise ValueError(
-            f"state has {initial.n_agents} agents but graph has {graph.n_agents}"
-        )
     _check_initial(initial.opinions, initial.pollution, (params.p_bar,), allow_boundary)
 
     record_ticks = sorted({*range(0, n_steps, stride), n_steps})

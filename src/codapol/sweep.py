@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import AttractorClass, classify_states
+from .analysis import DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, class_period, classify_states
 from .dynamics import _BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_initial, _check_seed
 from .dynamics import _run, _write_csv, initial_state, quantize_opinion, random_opinions, simulate
 from .graph import GraphSpec
@@ -95,8 +96,8 @@ class SweepSpec:
     seed: int = 0  # keys a random start
     transient: int = 10_000
     tail: int = 1024
-    tol: float = 1e-9
-    max_period: int = 256
+    tol: float = DEFAULT_TOL
+    max_period: int = DEFAULT_MAX_PERIOD
 
     def __post_init__(self):
         if self.swept_param not in SWEEPABLE:
@@ -147,29 +148,22 @@ class SweepRow:
         return self.opinion_samples if self.is_fs else self.opinion_samples[:, 1]
 
 
-def _rows_from_tails(spec: SweepSpec, values: Sequence[float],
-                     tail_theta: np.ndarray, tail_p: np.ndarray) -> list[SweepRow]:
-    rows = []
-    for j, v in enumerate(values):
-        try:
-            attractor = classify_states(
-                tail_theta[j], tail_p[j], tol=spec.tol, max_period=spec.max_period
-            )
-        except Exception as exc:
-            raise SweepError(f"{spec.swept_param} = {v!r}: {exc}") from exc
-        if spec.initial.kind == "fs":
-            samples = tail_theta[j, :, 0].copy()
-        else:
-            samples = np.column_stack([f(tail_theta[j], axis=1) for f in (np.min, np.mean, np.max)])
-        rows.append(SweepRow(float(v), attractor, samples, tail_p[j].copy()))
-    return rows
+@contextmanager
+def _point(spec: SweepSpec, name: str, value):
+    """Error context of one grid point; yields the spec's tail classifier."""
+    try:
+        yield lambda thetas, ps: classify_states(thetas, ps, tol=spec.tol,
+                                                 max_period=spec.max_period)
+    except Exception as exc:
+        raise SweepError(f"{name} = {value!r}: {exc}") from exc
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Run every grid point and classify its long-run behavior.
 
     Output order matches the grid.  Results are bitwise deterministic for a
-    fixed spec and do not depend on ``threads``.
+    fixed spec and do not depend on ``threads``, which splits only a grid whose
+    start is not fully synchronized: two threads would double an FS tick's calls.
     """
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
@@ -179,17 +173,24 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     opinions0 = spec.initial.opinions(graph.n_agents, spec.seed)
     p_bars = spec.grid if spec.swept_param == "p_bar" else (spec.base_params.p_bar,)
     _check_initial(opinions0, spec.initial.p0, p_bars)
-    # tick-0 memories -1 and +1 reach no tie, since _check_initial rejects ties
+    # no tie at tick 0 (see _check_initial), so _run's FS test reads the opinions alone
+    fs = bool((opinions0 == opinions0[0]).all())
     start = SimState(opinions0, spec.initial.p0, quantize_opinion(opinions0, -1), 1)
     tail = range(spec.transient + 1, spec.transient + spec.tail + 1)
-    chunks = [c.tolist() for c in np.array_split(spec.grid, min(threads, len(spec.grid)))]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+    n_chunks = 1 if fs else min(threads, len(spec.grid))
+    chunks = [c.tolist() for c in np.array_split(spec.grid, n_chunks)]
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
         tails = list(pool.map(lambda vals: _run(
             start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail), chunks))
     # classify on the calling thread: a tracer wrapping classify_states sees run_sweep as caller
     rows: list[SweepRow] = []
     for vals, (tth, tp, _, _) in zip(chunks, tails):
-        rows.extend(_rows_from_tails(spec, vals, tth, tp))
+        for v, theta, p in zip(vals, tth, tp):
+            with _point(spec, spec.swept_param, v) as classify:
+                attractor = classify(theta, p)
+            samples = theta[:, 0].copy() if fs else np.column_stack(
+                [f(theta, axis=1) for f in (np.min, np.mean, np.max)])
+            rows.append(SweepRow(v, attractor, samples, p.copy()))
     return rows
 
 
@@ -207,14 +208,9 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     state0 = initial_state(opinions0, base.initial.p0, base.base_params)
     entries = []
     for b, params in points:
-        try:
+        with _point(base, "beta", b) as classify:
             traj = simulate(state0, graph, params, base.transient + base.tail, stride=1)
-            attractor = classify_states(
-                traj.opinions[-base.tail:], traj.pollution[-base.tail:],
-                tol=base.tol, max_period=base.max_period,
-            )
-        except Exception as exc:
-            raise SweepError(f"beta = {b!r}: {exc}") from exc
+            attractor = classify(traj.opinions[-base.tail:], traj.pollution[-base.tail:])
         entries.append((float(b), traj, attractor))
     return entries
 
@@ -229,9 +225,7 @@ def write_bifurcation_csv(rows: Sequence[SweepRow], path) -> None:
         step = max(1, _BLOCK_FIELDS // 4 // max(1, len(rows[0].p_samples))) if rows else 1
         for group in (rows[i:i + step] for i in range(0, len(rows), step)):
             sizes = [len(row.p_samples) for row in group]
-            heads = ["%.17g,%s,%s" % (row.param_value, row.attractor.kind,
-                                      row.attractor.period if row.attractor.kind == "cycle" else "")
-                     for row in group]
+            heads = ["%.17g,%s" % (row.param_value, class_period(row.attractor)) for row in group]
             yield [(heads, np.repeat(np.arange(len(group)), sizes)),
                    np.concatenate([np.arange(n) for n in sizes]),
                    np.concatenate([row.scatter_thetas() for row in group]),

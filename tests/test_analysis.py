@@ -15,7 +15,6 @@ from codapol.analysis import (
     InsufficientDataError,
     LimitCycle,
     certify_cluster,
-    classify_attractor,
     classify_states,
     find_preserved_clusters,
     fs_action_equilibria,
@@ -300,6 +299,17 @@ class TestFindPreservedClusters:
             for i in rep.members:
                 assert np.all(traj.actions[:, i] == traj.actions[0, i])
 
+    def test_stride_one_never_counts_an_agent_that_flips_and_returns(self):
+        g = square_lattice(8)
+        params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        traj = simulate(initial_state(random_opinions(2, 64), 100.0, params), g, params, 20)
+        acts = traj.actions
+        flips_back = np.flatnonzero((acts[-1] == acts[0]) & (acts != acts[0]).any(axis=0))
+        assert flips_back.size  # the run has such agents
+        members = {i for rep in find_preserved_clusters(traj, g, params.beta)
+                   for i in rep.members}
+        assert members and members.isdisjoint(flips_back.tolist())
+
     def test_strong_clusters_at_start_never_flip(self):
         # unconditional preservation: certified-strong components of the
         # initial actions keep their actions through any later evolution
@@ -542,16 +552,15 @@ def planted_sequence(rng, period, length, dim, noise):
 
 class TestClassifyAttractor:
     def test_constant_sequence_is_fixed_point(self):
-        tail = [(np.array([0.3, -0.2]), 5.0)] * 40
-        out = classify_attractor(tail, tol=1e-9, max_period=16)
+        out = classify_states(np.tile([0.3, -0.2], (40, 1)), np.full(40, 5.0), tol=1e-9,
+                              max_period=16)
         assert isinstance(out, FixedPoint)
         assert out.p_star == 5.0
         assert np.array_equal(out.theta_star, np.array([0.3, -0.2]))
 
     def test_exact_alternation_is_period_two(self):
-        a = (np.array([0.5]), 1.0)
-        b = (np.array([-0.5]), 2.0)
-        out = classify_attractor([a, b] * 20, tol=1e-9, max_period=16)
+        out = classify_states(np.tile([[0.5], [-0.5]], (20, 1)), np.tile([1.0, 2.0], 20),
+                              tol=1e-9, max_period=16)
         assert isinstance(out, LimitCycle)
         assert out.period == 2
         assert len(out.cycle_samples) == 2
@@ -560,8 +569,7 @@ class TestClassifyAttractor:
         rng = np.random.default_rng(0)
         tol = 1e-9
         seq = planted_sequence(rng, 3, 80, 4, noise=tol / 10)
-        tail = [(row[:-1], float(row[-1])) for row in seq]
-        out = classify_attractor(tail, tol=tol, max_period=16)
+        out = classify_states(seq[:, :-1], seq[:, -1], tol=tol, max_period=16)
         oracle = brute_force_period([row for row in seq], tol, 16)
         assert oracle == 3
         assert isinstance(out, LimitCycle) and out.period == 3
@@ -569,15 +577,13 @@ class TestClassifyAttractor:
     def test_no_recurrence_is_aperiodic(self):
         rng = np.random.default_rng(1)
         seq = rng.uniform(-1, 1, size=(64, 3))
-        tail = [(row[:2], float(row[2])) for row in seq]
-        out = classify_attractor(tail, tol=1e-9, max_period=16)
+        out = classify_states(seq[:, :2], seq[:, 2], tol=1e-9, max_period=16)
         assert isinstance(out, Aperiodic)
         assert 0 < len(out.samples) <= 256
 
     def test_insufficient_tail_rejected(self):
-        tail = [(np.array([0.1]), 1.0)] * 30
         with pytest.raises(InsufficientDataError):
-            classify_attractor(tail, tol=1e-9, max_period=16)
+            classify_states(np.full((30, 1), 0.1), np.ones(30), tol=1e-9, max_period=16)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_tol_rejected(self, tol):
@@ -613,10 +619,8 @@ class TestClassifyAttractor:
                 assert got.period == oracle
 
     def test_cycle_samples_are_last_full_cycle(self):
-        a = (np.array([0.5]), 1.0)
-        b = (np.array([-0.5]), 2.0)
-        c = (np.array([0.0]), 3.0)
-        out = classify_attractor([a, b, c] * 12, tol=1e-9, max_period=8)
+        out = classify_states(np.tile([[0.5], [-0.5], [0.0]], (12, 1)),
+                              np.tile([1.0, 2.0, 3.0], 12), tol=1e-9, max_period=8)
         assert out.period == 3
         assert [s[1] for s in out.cycle_samples] == [1.0, 2.0, 3.0]
 

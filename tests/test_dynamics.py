@@ -18,7 +18,6 @@ from codapol.dynamics import (
     _BLOCK_FIELDS,
     _philox4x64,
     _write_csv,
-    emissions,
     fs_initial_state,
     initial_state,
     local_fields,
@@ -160,15 +159,6 @@ class TestQuantizers:
             assert q == 1
         else:
             assert q == prev
-
-
-class TestEmissions:
-    def test_examples(self):
-        assert list(emissions([-1, -1], BASE)) == [0.0, 0.0]
-        assert list(emissions([1], BASE)) == [1.0]
-        e = emissions([1, -1, 1], ModelParams(0.45, 0.5, 2.0, 5.0, 0.0))
-        assert list(e) == [5.0, 2.0, 5.0]
-        assert e.sum() == 12.0
 
 
 class TestStepPollution:
@@ -407,6 +397,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             simulate(s0, complete_graph(3), BASE, n_steps, stride)
 
+    def test_step_rejects_agent_count_mismatch(self):
+        with pytest.raises(ValueError, match="state has 4 agents but graph has 3"):
+            step(fs_initial_state(0.4, 4, 100.0, BASE), complete_graph(3), BASE)
+
     def test_boundary_opinions_need_override(self):
         g = complete_graph(3)
         params = BASE
@@ -556,6 +550,12 @@ class TestRandomOpinions:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_agent_generators_at_any_seed(self, seed, n):
         assert random_opinions(seed, n).tobytes() == random_opinions_loop(seed, n).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_blocks_leave_the_draws_unchanged(self, seed, monkeypatch):
+        # 17 agents in blocks of 5: three full blocks and a partial one
+        monkeypatch.setattr("codapol.dynamics._OPINION_BLOCK", 5)
+        assert random_opinions(seed, 17).tobytes() == random_opinions_loop(seed, 17).tobytes()
 
     # Random123's published known-answer vectors for Philox4x64-10:
     # (counter, key) -> block, each word in hex.

@@ -25,6 +25,7 @@ from codapol.graph import (
     parse_edge_list,
     random_graph,
 )
+from codapol import sweep as sweep_module
 from codapol.sweep import (
     SWEEPABLE,
     InitSpec,
@@ -457,6 +458,51 @@ class TestFsQuotient:
                        initial=InitSpec("fs", p0=100.0, theta0=theta0))
         rows = assert_rows_match_full_runs(spec, threads=2)
         assert {row.attractor.kind for row in rows} == {"fixed", "cycle", "aperiodic"}
+
+
+def run_loop_calls(monkeypatch):
+    """The params dicts run_sweep hands the run loop, one per chunk."""
+    calls, real = [], sweep_module._run
+
+    def spy(initial, graph, par, record_ticks):
+        calls.append(par)
+        return real(initial, graph, par, record_ticks)
+
+    monkeypatch.setattr(sweep_module, "_run", spy)
+    return calls
+
+
+class TestFsFromStartState:
+    def test_equal_file_start_writes_the_fs_start_bytes(self, tmp_path):
+        (tmp_path / "opinions.txt").write_text(" ".join(["0.4"] * 20))
+        starts = {"fs": InitSpec("fs", p0=100.0, theta0=0.4),
+                  "file": InitSpec("file", p0=100.0, path=str(tmp_path / "opinions.txt"))}
+        for name, initial in starts.items():
+            rows = run_sweep(fs_spec([0.45, 0.52, 0.999], transient=300, tail=256,
+                                     initial=initial))
+            assert all(row.is_fs for row in rows)
+            write_bifurcation_csv(rows, tmp_path / f"{name}.csv")
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "fs.csv").read_bytes()
+
+    def test_fs_grid_runs_as_one_batch_at_any_thread_count(self, monkeypatch):
+        calls = run_loop_calls(monkeypatch)
+        run_sweep(fs_spec([0.45, 0.52, 0.999], transient=300, tail=256), threads=3)
+        assert [call["beta"] for call in calls] == [[0.45, 0.52, 0.999]]
+
+    def test_other_grids_split_across_threads_byte_for_byte(self, monkeypatch):
+        spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256,
+                       initial=InitSpec("random", p0=100.0), seed=9,
+                       graph_spec=GraphSpec(kind="lattice", side=4))
+        single = run_sweep(spec, threads=1)
+        calls = run_loop_calls(monkeypatch)
+        split = run_sweep(spec, threads=2)
+        assert len(calls) == 2
+        assert len(split) == len(single)
+        for a, b in zip(single, split):
+            assert a.param_value == b.param_value
+            assert attractor_bytes(a.attractor) == attractor_bytes(b.attractor)
+            assert a.opinion_samples.tobytes() == b.opinion_samples.tobytes()
+            assert a.p_samples.tobytes() == b.p_samples.tobytes()
 
 
 class TestAttractorGallery:
