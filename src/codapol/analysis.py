@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ModelParams, Trajectory, _total_emission, _write_csv
+from .dynamics import ModelParams, Trajectory, _check_count, _total_emission, _write_csv
 from .graph import Graph
 
 
@@ -292,8 +292,7 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
     (cycle detection as in Brent, BIT 20, 1980).  The result is the same
     as checking every m; a NaN gap fails, as a NaN full check does.
     """
-    if max_period < 1:
-        raise ValueError(f"max_period must be positive, got {max_period}")
+    _check_count("max_period", max_period, 1)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     thetas = np.asarray(thetas, dtype=np.float64)

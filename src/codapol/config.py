@@ -146,6 +146,12 @@ def _increasing_float_list(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _nonempty(raw: str) -> str:
+    if not raw:
+        raise ConfigError("must not be empty")
+    return raw
+
+
 def _one_of(choices):
     def conv(raw: str) -> str:
         if raw not in choices:
@@ -201,7 +207,7 @@ _TAIL = {
 _KEYS = {
     "run": {
         "command": (_one_of(COMMANDS), _text, _REQUIRED),
-        "out": (str, _text, _REQUIRED),
+        "out": (_nonempty, _text, _REQUIRED),
         "seed": (_int(0, 2 ** 64), str, 0),
         "threads": (_int(1), str, 1),
     },
@@ -257,7 +263,10 @@ def _grid_range(data: dict[str, str]) -> dict:
         raise ConfigError(f"grid_step must be positive, got {step}")
     if stop < start:
         raise ConfigError("grid_stop must not be below grid_start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if math.isinf(steps):
+        raise ConfigError(f"grid_step is too small to count the grid, got {step}")
+    count = int(math.floor(steps)) + 1
     return {"grid": tuple(start + i * step for i in range(count))}
 
 

@@ -303,6 +303,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
 
 
+def _check_count(name: str, value, lo: int) -> None:
+    """Reject a count that is not an int of at least ``lo`` (0 or 1); a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be {'positive' if lo else 'nonnegative'}, got {value}")
+
+
 # Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -349,10 +357,7 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     rejected (probability 2**-52 each) run their own generator, from its second draw.
     """
     _check_seed(seed)
-    if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)):
-        raise ValueError(f"n_agents must be an int, got {n_agents!r}")
-    if n_agents < 0:
-        raise ValueError(f"n_agents must be nonnegative, got {n_agents}")
+    _check_count("n_agents", n_agents, 0)
     seed = int(seed)
     out = np.empty(n_agents)
     for start in range(0, n_agents, _OPINION_BLOCK):
@@ -443,10 +448,8 @@ def simulate(initial: SimState, graph: Graph, params: ModelParams,
     Bitwise deterministic for identical inputs; the recorded snapshot
     sequence is exactly what repeated :func:`step` calls would produce.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
+    _check_count("n_steps", n_steps, 0)
+    _check_count("stride", stride, 1)
     _check_initial(initial.opinions, initial.pollution, (params.p_bar,), allow_boundary)
 
     record_ticks = sorted({*range(0, n_steps, stride), n_steps})

@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, class_period, classify_states
-from .dynamics import _BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_initial, _check_seed
-from .dynamics import _run, _write_csv, initial_state, quantize_opinion, random_opinions, simulate
+from .dynamics import (_BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_count, _check_initial,
+                       _check_seed, _run, _write_csv, initial_state, quantize_opinion,
+                       random_opinions, simulate)
 from .graph import GraphSpec
 
 
@@ -111,12 +112,8 @@ class SweepSpec:
                 raise ValueError("grid values must be strictly increasing")
         for v in grid[:1] + grid[-1:]:
             self.params_at(v)  # each field's valid values form an interval
-        if self.transient < 0:
-            raise ValueError(f"transient must be nonnegative, got {self.transient}")
-        if self.tail < 1:
-            raise ValueError(f"tail must be positive, got {self.tail}")
-        if self.max_period < 1:
-            raise ValueError(f"max_period must be positive, got {self.max_period}")
+        for name, lo in (("transient", 0), ("tail", 1), ("max_period", 1)):
+            _check_count(name, getattr(self, name), lo)
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         _check_seed(self.seed)
@@ -165,8 +162,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     fixed spec and do not depend on ``threads``, which splits only a grid whose
     start is not fully synchronized: two threads would double an FS tick's calls.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+    _check_count("threads", threads, 1)
     if not spec.grid:
         return []
     graph = spec.graph_spec.build()

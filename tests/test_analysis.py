@@ -591,10 +591,15 @@ class TestClassifyAttractor:
         with pytest.raises(ValueError, match="tol"):
             classify_states(thetas, np.full(40, 5.0), tol=tol, max_period=16)
 
-    @pytest.mark.parametrize("max_period", [0, -1])
-    def test_bad_max_period_rejected(self, max_period):
+    @pytest.mark.parametrize("max_period, match", [
+        (0, "max_period must be positive, got 0"),
+        (-1, "max_period must be positive, got -1"),
+        (True, "max_period must be an int, got True"),
+        (2.5, "max_period must be an int, got 2.5"),
+    ], ids=["0", "-1", "True", "2.5"])
+    def test_bad_max_period_rejected(self, max_period, match):
         thetas = np.full((40, 2), 0.3)
-        with pytest.raises(ValueError, match=f"max_period must be positive, got {max_period}"):
+        with pytest.raises(ValueError, match=match):
             classify_states(thetas, np.full(40, 5.0), max_period=max_period)
 
     def test_agrees_with_brute_force_oracle(self):

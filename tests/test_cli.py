@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +43,9 @@ def write_config(tmp_path, command_block, out, name="config.txt", seed=7,
     path.write_text(text)
     return path
 
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())["workloads"]
 
 SIMULATE_BLOCK = ("simulate", "\n[simulate]\nsteps = 120\nstride = 1\n")
 SWEEP_BLOCK = (
@@ -297,6 +302,7 @@ class TestExitCodes:
         ("--seed", str(2 ** 64), "seed"),
         ("--threads", "0", "threads"),
         ("--out", "o#1", "out"),
+        ("--out", "", "out"),
     ])
     def test_bad_override_exits_one_naming_key(self, tmp_path, capsys, monkeypatch,
                                                flag, value, key):
@@ -304,7 +310,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, SIMULATE_BLOCK, tmp_path / "o")
         assert main(["--config", str(cfg), flag, value]) == 1
         assert f"'{key}' in [run]" in capsys.readouterr().err
-        assert not any(tmp_path.glob("*/manifest.txt"))
+        assert not any(tmp_path.glob("**/manifest.txt"))
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.txt")]) == 1
@@ -395,7 +401,7 @@ class TestExitCodes:
 
 class TestModuleEntryPoint:
     def test_python_m_codapol_runs_and_exits_with_main_code(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(ROOT / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = tmp_path / "out"
@@ -410,3 +416,24 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 1
         assert "gamma" in done.stderr
+
+
+class TestExperimentDocuments:
+    # each document of experiments/ with its CLI flags, and the CSVs it must
+    # write as the benchmark workload that times it: {csv: (workload, seed key, name)}
+    @pytest.mark.parametrize("doc, flags, csvs", [
+        ("bifurcation-main", [], {"bifurcation.csv": ("fs-sweep", "*", "main/bifurcation.csv")}),
+        ("bifurcation-control", [],
+         {"bifurcation.csv": ("fs-sweep", "*", "control/bifurcation.csv")}),
+        ("gallery", [], {"gallery.csv": ("gallery", "*", "gallery/gallery.csv")}),
+        ("lattice", ["--seed", "1"],
+         {f"{name}.csv": ("lattice", "1", f"simulate/{name}.csv")
+          for name in ("trajectory", "clusters", "grid")}),
+    ])
+    def test_document_reproduces_reference_digests(self, tmp_path, doc, flags, csvs):
+        out = tmp_path / doc
+        config = ROOT / "experiments" / f"{doc}.txt"
+        assert main(["--config", str(config), "--out", str(out), "--quiet", *flags]) == 0
+        for name, (workload, key, ref_name) in csvs.items():
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == REFERENCE[workload][key][ref_name], name

@@ -144,6 +144,7 @@ class TestParse:
         ("seed = 7", "seed = 7\nthreads = 0", "threads"),
         ("steps = 500", "steps = -1", "steps"),
         ("stride = 1", "stride = 0", "stride"),
+        ("out = runs/demo", "out =", "out"),
     ])
     def test_bounds_name_the_key(self, old, new, key):
         with pytest.raises(ConfigError, match=f"'{key}' in"):
@@ -228,6 +229,8 @@ class TestGrid:
         ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = -0.1", "grid_step must be positive"),
         ("grid_start = 0.9\ngrid_stop = 0.5\ngrid_step = 0.1",
          "grid_stop must not be below grid_start"),
+        ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = 5e-324",
+         "grid_step is too small to count the grid, got 5e-324"),
         ("grid = 0.7, 0.6", r"key 'grid' in \[sweep\]: values must be strictly increasing"),
         ("grid = 0.6, 0.6", r"key 'grid' in \[sweep\]: values must be strictly increasing"),
     ])

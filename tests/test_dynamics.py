@@ -391,6 +391,10 @@ class TestSimulate:
         (3, 10, 0, "stride must be positive, got 0"),
         (3, 10, -2, "stride must be positive, got -2"),
         (4, 10, 1, "state has 4 agents but graph has 3"),
+        (3, True, 1, "n_steps must be an int, got True"),
+        (3, 2.5, 1, "n_steps must be an int, got 2.5"),
+        (3, 3, True, "stride must be an int, got True"),
+        (3, 10, 1.5, "stride must be an int, got 1.5"),
     ])
     def test_bad_run_arguments_rejected(self, n_agents, n_steps, stride, match):
         s0 = fs_initial_state(0.4, n_agents, 100.0, BASE)

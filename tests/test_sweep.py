@@ -94,14 +94,22 @@ class TestSweepSpecValidation:
         ("tail", 0, "tail must be positive, got 0"),
         ("max_period", 0, "max_period must be positive, got 0"),
         ("max_period", -4, "max_period must be positive, got -4"),
+        ("transient", 10.5, "transient must be an int, got 10.5"),
+        ("tail", True, "tail must be an int, got True"),
+        ("max_period", 2.5, "max_period must be an int, got 2.5"),
     ])
     def test_bad_run_length_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             fs_spec([0.3], **{field: value})
 
-    @pytest.mark.parametrize("threads", [0, -2])
-    def test_thread_count_must_be_positive(self, threads):
-        with pytest.raises(ValueError, match=f"threads must be positive, got {threads}"):
+    @pytest.mark.parametrize("threads, match", [
+        (0, "threads must be positive, got 0"),
+        (-2, "threads must be positive, got -2"),
+        (1.5, "threads must be an int, got 1.5"),
+        (True, "threads must be an int, got True"),
+    ], ids=["0", "-2", "1.5", "True"])
+    def test_thread_count_must_be_positive(self, threads, match):
+        with pytest.raises(ValueError, match=match):
             run_sweep(fs_spec([0.45]), threads=threads)
 
 
