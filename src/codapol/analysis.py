@@ -38,15 +38,12 @@ class FixedPoint:
 @dataclass(frozen=True)
 class LimitCycle:
     period: int  # minimal period, >= 2
-    cycle_samples: tuple  # m consecutive (opinion vector, pollution) states
 
     kind = "cycle"
 
 
 @dataclass(frozen=True)
 class Aperiodic:
-    samples: tuple  # bounded reservoir of post-transient (opinions, pollution) states
-
     kind = "aperiodic"
 
 
@@ -312,11 +309,8 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
                 return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))
-            return LimitCycle(period=m, cycle_samples=tuple(zip(
-                thetas[n_tail - m:].copy(), pollutions[n_tail - m:].tolist())))
-    keep = min(n_tail, 256)
-    idx = np.unique(np.linspace(0, n_tail - 1, keep).round().astype(int))
-    return Aperiodic(samples=tuple(zip(thetas[idx], pollutions[idx].tolist())))
+            return LimitCycle(period=m)
+    return Aperiodic()
 
 
 def write_cluster_csv(reports: Sequence[ClusterReport], path) -> None:

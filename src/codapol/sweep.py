@@ -10,8 +10,8 @@ point, so batch results are bitwise identical to running each point alone,
 regardless of chunking or thread count; the CLI ``classify`` command runs
 as a one-point sweep.  A fully synchronized start, on any graph, takes the
 loop's FS quotient: one column stands for all n agents, at O(P) per tick
-instead of O(P N), and is broadcast back, so every row and attractor vector
-keeps length N and the same bytes.
+instead of O(P N), and is broadcast back, so a fixed point's ``theta_star``
+keeps length N and every CSV the same bytes.
 """
 
 from __future__ import annotations
@@ -126,23 +126,14 @@ class SweepSpec:
 class SweepRow:
     """One scatter column of the bifurcation diagram.
 
-    For fully synchronized sweeps ``opinion_samples`` holds agent 0's
-    opinion per tail tick (all agents are equal); otherwise it holds
-    (min, mean, max) of the opinion vector per tail tick, shape [tail, 3].
+    ``opinion_samples`` holds one opinion per tail tick: agent 0's for fully
+    synchronized sweeps (all agents are equal), otherwise the mean over agents.
     """
 
     param_value: float
     attractor: AttractorClass
     opinion_samples: np.ndarray
     p_samples: np.ndarray
-
-    @property
-    def is_fs(self) -> bool:
-        return self.opinion_samples.ndim == 1
-
-    def scatter_thetas(self) -> np.ndarray:
-        """Per-sample scalar opinion for scatter export (mean when not FS)."""
-        return self.opinion_samples if self.is_fs else self.opinion_samples[:, 1]
 
 
 @contextmanager
@@ -161,6 +152,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     Output order matches the grid.  Results are bitwise deterministic for a
     fixed spec and do not depend on ``threads``, which splits only a grid whose
     start is not fully synchronized: two threads would double an FS tick's calls.
+    One chunk runs on the calling thread, so Ctrl-C stops it.
     """
     _check_count("threads", threads, 1)
     if not spec.grid:
@@ -175,17 +167,22 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     tail = range(spec.transient + 1, spec.transient + spec.tail + 1)
     n_chunks = 1 if fs else min(threads, len(spec.grid))
     chunks = [c.tolist() for c in np.array_split(spec.grid, n_chunks)]
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        tails = list(pool.map(lambda vals: _run(
-            start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail), chunks))
+
+    def run(vals):
+        return _run(start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail)
+
+    if n_chunks == 1:
+        tails = [run(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            tails = list(pool.map(run, chunks))
     # classify on the calling thread: a tracer wrapping classify_states sees run_sweep as caller
     rows: list[SweepRow] = []
     for vals, (tth, tp, _, _) in zip(chunks, tails):
         for v, theta, p in zip(vals, tth, tp):
             with _point(spec, spec.swept_param, v) as classify:
                 attractor = classify(theta, p)
-            samples = theta[:, 0].copy() if fs else np.column_stack(
-                [f(theta, axis=1) for f in (np.min, np.mean, np.max)])
+            samples = theta[:, 0].copy() if fs else theta.mean(axis=1)
             rows.append(SweepRow(v, attractor, samples, p.copy()))
     return rows
 
@@ -224,7 +221,7 @@ def write_bifurcation_csv(rows: Sequence[SweepRow], path) -> None:
             heads = ["%.17g,%s" % (row.param_value, class_period(row.attractor)) for row in group]
             yield [(heads, np.repeat(np.arange(len(group)), sizes)),
                    np.concatenate([np.arange(n) for n in sizes]),
-                   np.concatenate([row.scatter_thetas() for row in group]),
+                   np.concatenate([row.opinion_samples for row in group]),
                    np.concatenate([row.p_samples for row in group])]
 
     _write_csv(path, "param_value,class,period,sample_index,theta_sample,p_sample", parts())

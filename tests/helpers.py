@@ -250,40 +250,26 @@ def fs_flip_time(theta0, beta, q_p=-1, cap=10_000_000):
 def classify_unfiltered(thetas, pollutions, tol, max_period):
     """classify_states without the last-state prefilter: a full-tail check at every m.
 
-    Returns the same attractor classes, built from the same tail rows, so a
-    result can be compared with :func:`same_attractor`.
+    Returns the same attractor classes, a fixed point built from the same last
+    tail row, so a result can be compared with :func:`attractor_bytes`.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     pollutions = np.asarray(pollutions, dtype=np.float64)
-    n_tail = thetas.shape[0]
     states = np.column_stack([thetas, pollutions])
     for m in range(1, max_period + 1):
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
                 return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))
-            return LimitCycle(
-                period=m,
-                cycle_samples=tuple(
-                    (thetas[n_tail - m + j].copy(), float(pollutions[n_tail - m + j]))
-                    for j in range(m)
-                ),
-            )
-    keep = min(n_tail, 256)
-    idx = np.unique(np.linspace(0, n_tail - 1, keep).round().astype(int))
-    return Aperiodic(samples=tuple((thetas[i].copy(), float(pollutions[i])) for i in idx))
+            return LimitCycle(period=m)
+    return Aperiodic()
 
 
 def attractor_bytes(att):
-    """Kind, period and every state vector and pollution of ``att`` as raw bytes."""
-    if att.kind == "fixed":
-        pairs = [(att.theta_star, att.p_star)]
-    elif att.kind == "cycle":
-        pairs = att.cycle_samples
-    else:
-        pairs = att.samples
-    return (att.kind, getattr(att, "period", None),
-            [(np.asarray(v).shape, np.asarray(v).tobytes(), np.float64(p).tobytes())
-             for v, p in pairs])
+    """Kind, period and, for a fixed point, its state vector and pollution as raw bytes."""
+    if att.kind != "fixed":
+        return att.kind, getattr(att, "period", None)
+    v = np.asarray(att.theta_star)
+    return att.kind, v.shape, v.tobytes(), np.float64(att.p_star).tobytes()
 
 
 # Floats every writer oracle is compared on: both infinities, a NaN, a
@@ -370,7 +356,7 @@ def write_bifurcation_csv_per_row(rows, path):
         for row in rows:
             kind = row.attractor.kind
             period = str(row.attractor.period) if kind == "cycle" else ""
-            thetas = row.scatter_thetas()
+            thetas = row.opinion_samples
             for s in range(thetas.shape[0]):
                 writer.writerow([
                     f"{row.param_value:.17g}", kind, period, s,

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -399,11 +401,15 @@ class TestExitCodes:
         assert "threshold" in capsys.readouterr().err
 
 
+def child_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestModuleEntryPoint:
     def test_python_m_codapol_runs_and_exits_with_main_code(self, tmp_path):
-        src = str(ROOT / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = child_env()
         out = tmp_path / "out"
         cfg = write_config(tmp_path, ("clusters", SIMULATE_BLOCK[1]), out)
         done = subprocess.run([sys.executable, "-m", "codapol", "--config", str(cfg)],
@@ -416,6 +422,28 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 1
         assert "gamma" in done.stderr
+
+    @pytest.mark.parametrize("command, head", [
+        ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.52,0.8\n"),
+        ("classify", "\n[classify]\n"),
+    ], ids=["sweep", "classify"])
+    def test_ctrl_c_stops_a_fully_synchronized_run(self, tmp_path, command, head):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (command, head + "transient = 100000000\ntail = 512\n"), out)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "codapol", "--config", str(cfg), "--quiet"],
+            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            # a background job starts with SIGINT ignored, and then Python ignores it too
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            time.sleep(2)
+            assert child.poll() is None  # still in the transient
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=5) != 0
+        finally:
+            child.kill()
+            child.wait()
+        assert not (out / "manifest.txt").exists()
 
 
 class TestExperimentDocuments:

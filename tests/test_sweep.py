@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -212,24 +213,26 @@ class TestRunSweep:
         GraphSpec(kind="complete", n=12),
         GraphSpec(kind="edgelist", path=DIRECTED_EDGES),
     ], ids=["lattice", "random", "complete", "edgelist-directed"])
-    def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec, tmp_path):
+    def test_batch_matches_single_run_engine_on_sparse_graphs(self, graph_spec, tmp_path,
+                                                              monkeypatch):
         if graph_spec.kind == "edgelist":  # the path field holds the file's text
             path = tmp_path / "g.txt"
             path.write_text(graph_spec.path)
             graph_spec = replace(graph_spec, path=str(path))
         spec = fs_spec([0.3, 0.6, 0.95], transient=200, tail=260, max_period=128,
                        initial=InitSpec("random", p0=100.0), seed=9, graph_spec=graph_spec)
+        calls = run_loop_calls(monkeypatch)
         rows = run_sweep(spec)
         graph = graph_spec.build()
         opinions0 = random_opinions(9, graph.n_agents)
-        for row in rows:
+        for row, batch_tail in zip(rows, tail_opinions(calls), strict=True):
             params = spec.params_at(row.param_value)
             s0 = initial_state(opinions0, 100.0, params)
             traj = simulate(s0, graph, params, spec.transient + spec.tail, stride=1)
             tail = traj.opinions[spec.transient + 1:]
-            expected = np.column_stack([tail.min(axis=1), tail.mean(axis=1),
-                                        tail.max(axis=1)])
-            assert np.array_equal(row.opinion_samples, expected)
+            assert batch_tail.shape == tail.shape
+            assert batch_tail.tobytes() == tail.tobytes()
+            assert row.opinion_samples.tobytes() == tail.mean(axis=1).tobytes()
             assert np.array_equal(row.p_samples, traj.pollution[spec.transient + 1:])
 
     @pytest.mark.parametrize("initial, match", [
@@ -244,19 +247,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             attractor_gallery([0.45], spec)
 
-    def test_non_fs_sweep_stores_min_mean_max(self):
+    def test_non_fs_sweep_stores_the_mean(self, monkeypatch):
         spec = fs_spec(
-            [0.3, 0.45],
+            [0.3, 0.52, 0.999],
             transient=300, tail=260, max_period=128,
             initial=InitSpec("random", p0=100.0), seed=9,
             graph_spec=GraphSpec(kind="lattice", side=4),
         )
+        calls = run_loop_calls(monkeypatch)
         rows = run_sweep(spec)
-        for row in rows:
-            assert row.opinion_samples.shape == (260, 3)
-            assert np.all(row.opinion_samples[:, 0] <= row.opinion_samples[:, 1])
-            assert np.all(row.opinion_samples[:, 1] <= row.opinion_samples[:, 2])
-            assert not row.is_fs
+        tails = tail_opinions(calls)
+        for row, tail in zip(rows, tails, strict=True):
+            assert row.opinion_samples.shape == (260,)
+            assert row.opinion_samples.tobytes() == tail.mean(axis=1).tobytes()
+        # 0.3 settles at one opinion; the agents of 0.52 and 0.999 keep apart
+        assert [bool((tail != tail[:, :1]).any()) for tail in tails] == [False, True, True]
 
     def test_point_failure_names_grid_value(self):
         spec = fs_spec([0.45], tail=100, max_period=128)  # tail < 2 * max_period
@@ -467,45 +472,71 @@ class TestFsQuotient:
         rows = assert_rows_match_full_runs(spec, threads=2)
         assert {row.attractor.kind for row in rows} == {"fixed", "cycle", "aperiodic"}
 
+    def test_rows_hold_no_agent_vectors(self):
+        # the n = 20 complete-graph setting scaled to 300 x 300 agents: p_bar and p0
+        # stay at 0.375 and 2.5 times the corridor ceiling n e_max / (1 - gamma)
+        spec = fs_spec([0.52, 0.8], transient=2000, tail=512, max_period=256,
+                       base_params=replace(BASE, p_bar=67500.0),
+                       initial=InitSpec("fs", p0=450000.0, theta0=0.4),
+                       graph_spec=GraphSpec(kind="lattice", side=300))
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [row.attractor.kind for row in rows] == ["aperiodic", "cycle"]
+        assert held < 16e6  # one tail of 90 000 opinions alone is 369 MB
+
 
 def run_loop_calls(monkeypatch):
-    """The params dicts run_sweep hands the run loop, one per chunk."""
+    """(params dict, result) of each run loop call of run_sweep, one per chunk."""
     calls, real = [], sweep_module._run
 
     def spy(initial, graph, par, record_ticks):
-        calls.append(par)
-        return real(initial, graph, par, record_ticks)
+        calls.append((par, real(initial, graph, par, record_ticks)))
+        return calls[-1][1]
 
     monkeypatch.setattr(sweep_module, "_run", spy)
     return calls
 
 
+def tail_opinions(calls):
+    """Every grid point's full [tail, N] opinions, in grid order, from run_loop_calls."""
+    return [theta for _, (thetas, *_) in calls for theta in thetas]
+
+
 class TestFsFromStartState:
-    def test_equal_file_start_writes_the_fs_start_bytes(self, tmp_path):
+    def test_equal_file_start_writes_the_fs_start_bytes(self, tmp_path, monkeypatch):
         (tmp_path / "opinions.txt").write_text(" ".join(["0.4"] * 20))
         starts = {"fs": InitSpec("fs", p0=100.0, theta0=0.4),
                   "file": InitSpec("file", p0=100.0, path=str(tmp_path / "opinions.txt"))}
+        calls = run_loop_calls(monkeypatch)
         for name, initial in starts.items():
             rows = run_sweep(fs_spec([0.45, 0.52, 0.999], transient=300, tail=256,
-                                     initial=initial))
-            assert all(row.is_fs for row in rows)
+                                     initial=initial), threads=2)
             write_bifurcation_csv(rows, tmp_path / f"{name}.csv")
+        assert len(calls) == 2  # each start is FS, so one batch despite two threads
         assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "fs.csv").read_bytes()
 
     def test_fs_grid_runs_as_one_batch_at_any_thread_count(self, monkeypatch):
         calls = run_loop_calls(monkeypatch)
         run_sweep(fs_spec([0.45, 0.52, 0.999], transient=300, tail=256), threads=3)
-        assert [call["beta"] for call in calls] == [[0.45, 0.52, 0.999]]
+        assert [par["beta"] for par, _ in calls] == [[0.45, 0.52, 0.999]]
 
     def test_other_grids_split_across_threads_byte_for_byte(self, monkeypatch):
         spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256,
                        initial=InitSpec("random", p0=100.0), seed=9,
                        graph_spec=GraphSpec(kind="lattice", side=4))
-        single = run_sweep(spec, threads=1)
         calls = run_loop_calls(monkeypatch)
+        single = run_sweep(spec, threads=1)
         split = run_sweep(spec, threads=2)
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert len(split) == len(single)
+        chunks = sorted(calls[1:], key=lambda call: call[0]["beta"][0])  # appended as they end
+        for a, b in zip(tail_opinions(calls[:1]), tail_opinions(chunks), strict=True):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
         for a, b in zip(single, split):
             assert a.param_value == b.param_value
             assert attractor_bytes(a.attractor) == attractor_bytes(b.attractor)
@@ -632,7 +663,7 @@ class TestSweepCsv:
         assert bulk.count(b"\n") == 1 + sum(traj.n_snapshots for _, traj, _ in entries)
 
     @pytest.mark.parametrize("case", ["fs", "mean", "blocks"])
-    def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, case):
+    def test_bifurcation_bytes_match_per_row_writer(self, tmp_path, case, monkeypatch):
         fs = case != "mean"
         if case == "fs":
             spec = fs_spec([0.45, 0.52, 0.999], transient=300, tail=256, max_period=128)
@@ -644,27 +675,25 @@ class TestSweepCsv:
             spec = fs_spec([0.3, 0.52, 0.999], transient=300, tail=256, max_period=128,
                            initial=InitSpec("random", p0=100.0), seed=9,
                            graph_spec=GraphSpec(kind="lattice", side=4))
+        calls = run_loop_calls(monkeypatch)
         rows = run_sweep(spec)
-        assert {row.is_fs for row in rows} == {fs}
+        assert all((tail == tail[:, :1]).all() for tail in tail_opinions(calls)) == fs
         write_bifurcation_csv(rows, tmp_path / "bulk.csv")
         write_bifurcation_csv_per_row(rows, tmp_path / "per_row.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
     def test_bifurcation_bytes_on_special_values(self, tmp_path):
         special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
-        state = (np.array([0.5, -0.0]), 1.0)
         attractors = [
-            FixedPoint(theta_star=state[0], p_star=state[1]),
-            LimitCycle(period=3, cycle_samples=(state,) * 3),
-            Aperiodic(samples=(state,)),
+            FixedPoint(theta_star=np.array([0.5, -0.0]), p_star=1.0),
+            LimitCycle(period=3),
+            Aperiodic(),
         ]
         rows = []
         for i, attractor in enumerate(attractors):
             for value in (-0.0, 5e-324, 1e308 * (i + 1)):
                 rows.append(SweepRow(value, attractor, np.roll(special, i), special[::-1]))
-                stacked = np.column_stack([special[::-1], np.roll(special, i), special])
-                rows.append(SweepRow(value, attractor, stacked, np.roll(special, -i)))
-        assert {row.is_fs for row in rows} == {True, False}
+                rows.append(SweepRow(value, attractor, special[::-1], np.roll(special, -i)))
         write_bifurcation_csv(rows, tmp_path / "bulk.csv")
         write_bifurcation_csv_per_row(rows, tmp_path / "per_row.csv")
         text = (tmp_path / "bulk.csv").read_text()
