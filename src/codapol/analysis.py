@@ -300,7 +300,8 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
             f"tail of {n_tail} samples cannot resolve periods up to {max_period}; "
             f"need at least {2 * max_period}"
         )
-    # an FS tail broadcasts one column to all agents (stride 0): measure that column
+    # an FS tail broadcasts one column to all agents (stride 0): measure that column,
+    # and broadcast a fixed point's copy of it back
     cols = thetas[:, :1] if thetas.ndim == 2 and thetas.strides[1] == 0 else thetas
     states = np.column_stack([cols, pollutions])
     earlier = states[n_tail - 1 - max_period:n_tail - 1][::-1]
@@ -308,7 +309,8 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
     for m in (np.flatnonzero(gaps < tol) + 1).tolist():
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
-                return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))
+                return FixedPoint(theta_star=np.broadcast_to(cols[-1].copy(), thetas.shape[1:]),
+                                  p_star=float(pollutions[-1]))
             return LimitCycle(period=m)
     return Aperiodic()
 

@@ -10,6 +10,8 @@ from tick-k quantities only.
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -375,24 +377,41 @@ def random_opinions(seed: int, n_agents: int) -> np.ndarray:
     return out
 
 
-def _run(initial: SimState, graph: Graph, par: dict,
-         record_ticks: Sequence[int]) -> tuple[np.ndarray, ...]:
+# An FS run's first recurrence anchor, and the ticks compared with each anchor,
+# which bound the periods it finds (see _run); ticks between stop-event polls.
+_RECUR_FIRST = 64
+_RECUR_WINDOW = 256
+_POLL_TICKS = 64
+
+
+def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int],
+         stop: threading.Event | None = None) -> tuple[np.ndarray, ...]:
     """Advance ``initial`` after refreshing its memories, recording at ``record_ticks``.
 
     The one run loop: ``simulate``, ``step`` and ``run_sweep`` (also the CLI
     ``classify`` command's) call it.  ``par`` maps each ``ModelParams`` field to a
     scalar or a column of P values; the ticks are strictly increasing counts
     from ``initial``.  Returns opinions [P, S, N], pollution [P, S], actions
-    int8 [P, S, N] and q_p int8 [P, S].
+    int8 [P, S, N] and q_p int8 [P, S].  A set ``stop`` event raises
+    ``KeyboardInterrupt`` within ``_POLL_TICKS`` ticks.
 
     On any graph a state with equal opinions and memories stays so bit for
     bit: ``Graph`` gives every agent d >= 1 in-neighbors, so its neighbor
     mean is d q / d = q exactly.  Such a run advances one column for all n
-    agents (the FS quotient), with the identity as its neighbor mean, and
-    broadcasts its record back.  A single point keeps pollution, params,
-    action count and an FS opinion as Python scalars, which the elementwise
-    rules take at a fraction of numpy's per-call cost; P points run as a
-    [P, C] state with [P, 1] columns.
+    agents (the FS quotient) and broadcasts its record back.  A single point
+    keeps pollution, params, action count and an FS opinion as Python
+    scalars, which the elementwise rules take at a fraction of numpy's
+    per-call cost; P points run as a [P, N] state with [P, 1] columns.  An
+    FS batch looks its fields and emission totals up in per-point tables
+    built by the same rules, so a tick is a few numpy calls.
+
+    An FS tick depends only on (theta, p, q, q_p) and the params, so a state
+    with the same bits at ticks a and a + m repeats with period m from a on
+    (cycle detection as in Brent, BIT 20, 1980).  An FS run compares an
+    anchor at each power of two from ``_RECUR_FIRST`` on with each of the
+    next ``_RECUR_WINDOW`` ticks.  Once every point has recurred in one
+    window, it runs the longest period once more and fills the later
+    records by index, with the bits of a full run.
     """
     n = graph.n_agents
     if initial.n_agents != n:
@@ -423,20 +442,86 @@ def _run(initial: SimState, graph: Graph, par: dict,
     elif fs:
         theta, q = theta.item(), q.item()
 
-    shape = (n_pts, len(record_ticks), 1 if fs else n)
-    thetas, qs = np.empty(shape), np.empty(shape, dtype=np.int8)
-    ps, qps = np.empty(shape[:2] + (1,)), np.empty(shape[:2] + (1,), dtype=np.int8)
-    rec_theta, rec_p, rec_q, rec_qp = (a.swapaxes(0, 1) for a in (thetas, ps, qs, qps))  # [S, P, .]
-
-    k = 0
-    for rec, tick in enumerate(record_ticks):
-        for _ in range(tick - k):
+    def advance(state, ticks):
+        theta, p, q, qp = state
+        for _ in range(ticks):
             n_plus = count_plus(q)
             theta = step_opinion(theta, _field(neighbor_mean(q), qp, beta))
             p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
             q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
-        k = tick
-        rec_theta[rec], rec_p[rec], rec_q[rec], rec_qp[rec] = theta, p, q, qp
+        return theta, p, q, qp
+
+    table = fs and n_pts > 1
+    if table:
+        # the signs as ints, q + 1 in {0, 2} and (q_p + 1) / 2 in {0, 1}, sum to a
+        # point's column of the field and emission tables; bools would index as masks
+        base = 4 * np.arange(n_pts)[:, None]
+        fields, totals = (np.broadcast_to(t, (n_pts, 4)).ravel() for t in (
+            _field(np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]), beta),
+            _total_emission(np.array([0, 0, n, n]), np.array([n, n, 0, 0]), e_min, e_max)))
+        q, qp = q + 1, (qp + 1) // 2
+
+        def advance(state, ticks):  # a zero or NaN keeps the memory, as the quantizers do
+            theta, p, s, sp = state
+            for _ in range(ticks):
+                at = base + s + sp
+                theta = step_opinion(theta, fields.take(at))
+                p = step_pollution(p, totals.take(at), gamma)
+                s = np.where(theta > 0.0, 2, np.where(theta < 0.0, 0, s))
+                sp = np.where(p < p_bar, 1, np.where(p > p_bar, 0, sp))
+            return theta, p, s, sp
+
+    shape = (n_pts, len(record_ticks), 1 if fs else n)
+    thetas, qs = np.empty(shape), np.empty(shape, dtype=np.int8)
+    ps, qps = np.empty(shape[:2] + (1,)), np.empty(shape[:2] + (1,), dtype=np.int8)
+    recs = [a.swapaxes(0, 1) for a in (thetas, ps, qs, qps)]  # [S, P, .]
+    rec_theta, rec_p, rec_q, rec_qp = recs
+
+    # the anchor, the state at tick a (the first at 2 a = _RECUR_FIRST), and found[j],
+    # point j's period since a (0 while none); the next recurrence test is due at
+    # tick `due`, and the next test or stop poll at tick `check`
+    state, k, done = (theta, p, q, qp), 0, False
+    a, anchor, due = _RECUR_FIRST // 2, None, _RECUR_FIRST if fs else math.inf
+    poll = math.inf if stop is None else _POLL_TICKS
+    check = min(due, poll)
+    for rec, tick in enumerate(record_ticks):
+        while k < tick:
+            end = min(tick, check)
+            state, k = advance(state, end - k), end
+            if k < check:
+                continue
+            if stop is not None and stop.is_set():
+                raise KeyboardInterrupt("run stopped")
+            if k == due:  # compare bits, as -0.0 == 0.0
+                now = np.concatenate(state, axis=1).view(np.int64) if table else state
+                if anchor is not None and table:
+                    found[(now == anchor).all(axis=1) & (found == 0)] = k - a
+                    done = found.all()
+                elif anchor is not None:
+                    found = k - a
+                    done = now == anchor and struct.pack("4d", *now) == struct.pack("4d", *anchor)
+                if done:
+                    break
+                if k == 2 * a:
+                    a, anchor, found = k, now, np.zeros(n_pts, dtype=np.int64)
+                due = k + 1 if k < a + _RECUR_WINDOW else 2 * a
+            check = min(due, k + poll)
+        if done:
+            break
+        rec_theta[rec], rec_p[rec], rec_q[rec], rec_qp[rec] = state
+    if done:  # record t >= k holds the state of tick k + (t - k) mod found[j]
+        found = np.reshape(found, -1)
+        cycle = [state]
+        for _ in range(found.max() - 1):
+            cycle.append(advance(cycle[-1], 1))
+        at = (np.asarray(record_ticks[rec:])[:, None] - k) % found
+        for i, out in enumerate(recs):
+            out[rec:] = np.array([s[i] for s in cycle]).reshape(len(cycle), n_pts, 1)[
+                at, np.arange(n_pts)]
+    if table:  # back to -1/+1, in place
+        qs -= 1
+        qps *= 2
+        qps -= 1
     full = shape[:2] + (n,)
     return np.broadcast_to(thetas, full), ps[..., 0], np.broadcast_to(qs, full), qps[..., 0]
 

@@ -11,12 +11,15 @@ regardless of chunking or thread count; the CLI ``classify`` command runs
 as a one-point sweep.  A fully synchronized start, on any graph, takes the
 loop's FS quotient: one column stands for all n agents, at O(P) per tick
 instead of O(P N), and is broadcast back, so a fixed point's ``theta_star``
-keeps length N and every CSV the same bytes.
+keeps length N and every CSV the same bytes.  An FS run stops once every
+point's state has recurred bit for bit, and fills the rest of its tail by
+index.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -152,7 +155,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     Output order matches the grid.  Results are bitwise deterministic for a
     fixed spec and do not depend on ``threads``, which splits only a grid whose
     start is not fully synchronized: two threads would double an FS tick's calls.
-    One chunk runs on the calling thread, so Ctrl-C stops it.
+    One chunk runs on the calling thread, so Ctrl-C stops it; split chunks poll
+    an event that a Ctrl-C sets, so it stops them too.
     """
     _check_count("threads", threads, 1)
     if not spec.grid:
@@ -168,22 +172,27 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     n_chunks = 1 if fs else min(threads, len(spec.grid))
     chunks = [c.tolist() for c in np.array_split(spec.grid, n_chunks)]
 
+    stop = threading.Event() if n_chunks > 1 else None  # polled by the pool's chunks
+
     def run(vals):
-        return _run(start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail)
+        return _run(start, graph, {**vars(spec.base_params), spec.swept_param: vals}, tail, stop)
 
     if n_chunks == 1:
         tails = [run(chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            tails = list(pool.map(run, chunks))
+            try:
+                tails = list(pool.map(run, chunks))
+            finally:  # on Ctrl-C the workers stop at their next poll, and the pool joins them
+                stop.set()
     # classify on the calling thread: a tracer wrapping classify_states sees run_sweep as caller
     rows: list[SweepRow] = []
     for vals, (tth, tp, _, _) in zip(chunks, tails):
         for v, theta, p in zip(vals, tth, tp):
             with _point(spec, spec.swept_param, v) as classify:
                 attractor = classify(theta, p)
-            samples = theta[:, 0].copy() if fs else theta.mean(axis=1)
-            rows.append(SweepRow(v, attractor, samples, p.copy()))
+            # an FS row's opinions and every row's pollution are views of the chunk's records
+            rows.append(SweepRow(v, attractor, theta[:, 0] if fs else theta.mean(axis=1), p))
     return rows
 
 

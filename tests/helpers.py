@@ -251,7 +251,9 @@ def classify_unfiltered(thetas, pollutions, tol, max_period):
     """classify_states without the last-state prefilter: a full-tail check at every m.
 
     Returns the same attractor classes, a fixed point built from the same last
-    tail row, so a result can be compared with :func:`attractor_bytes`.
+    tail row, so a result can be compared with :func:`attractor_bytes`; as
+    there, the last row of a tail that broadcasts one column (stride 0) is
+    kept as one element broadcast back.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     pollutions = np.asarray(pollutions, dtype=np.float64)
@@ -259,7 +261,9 @@ def classify_unfiltered(thetas, pollutions, tol, max_period):
     for m in range(1, max_period + 1):
         if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
             if m == 1:
-                return FixedPoint(theta_star=thetas[-1].copy(), p_star=float(pollutions[-1]))
+                last = thetas[-1, :1] if thetas.ndim == 2 and thetas.strides[1] == 0 else thetas[-1]
+                return FixedPoint(theta_star=np.broadcast_to(last.copy(), thetas.shape[1:]),
+                                  p_star=float(pollutions[-1]))
             return LimitCycle(period=m)
     return Aperiodic()
 

@@ -423,13 +423,20 @@ class TestModuleEntryPoint:
         assert done.returncode == 1
         assert "gamma" in done.stderr
 
-    @pytest.mark.parametrize("command, head", [
-        ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.52,0.8\n"),
-        ("classify", "\n[classify]\n"),
-    ], ids=["sweep", "classify"])
-    def test_ctrl_c_stops_a_fully_synchronized_run(self, tmp_path, command, head):
+    # beta = 0.52 never recurs bit for bit (an FS run stops at a recurrence), and a
+    # random start on a lattice splits the grid across the threads
+    @pytest.mark.parametrize("command, head, sections, threads", [
+        ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.52,0.8\n", BASE_SECTIONS, None),
+        ("classify", "\n[classify]\n", BASE_SECTIONS.replace("beta = 0.45", "beta = 0.52"), None),
+        ("sweep", "\n[sweep]\nparam = beta\ngrid = 0.52,0.8\n", BASE_SECTIONS.replace(
+            "kind = complete\nn = 20", "kind = lattice\nside = 4").replace(
+            "kind = fs\ntheta0 = 0.4", "kind = random"), 2),
+    ], ids=["sweep", "classify", "random-sweep-on-two-threads"])
+    def test_ctrl_c_stops_a_fully_synchronized_run(self, tmp_path, command, head, sections,
+                                                   threads):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, (command, head + "transient = 100000000\ntail = 512\n"), out)
+        cfg = write_config(tmp_path, (command, head + "transient = 100000000\ntail = 512\n"), out,
+                           sections=sections, threads=threads)
         child = subprocess.Popen(
             [sys.executable, "-m", "codapol", "--config", str(cfg), "--quiet"],
             env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

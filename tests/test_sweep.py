@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, classify_states
+from codapol import dynamics
 from codapol.dynamics import (
     _BLOCK_FIELDS,
     ModelParams,
     SimState,
+    _run,
     fs_initial_state,
     initial_state,
     random_opinions,
@@ -488,13 +490,142 @@ class TestFsQuotient:
         assert [row.attractor.kind for row in rows] == ["aperiodic", "cycle"]
         assert held < 16e6  # one tail of 90 000 opinions alone is 369 MB
 
+    def test_fixed_rows_hold_one_opinion(self):
+        # the lattice of test_rows_hold_no_agent_vectors at two fixed betas: each
+        # theta_star keeps length N, but holds one opinion broadcast to all agents
+        spec = fs_spec([0.3, 0.45], transient=2000, tail=512, max_period=256,
+                       base_params=replace(BASE, p_bar=67500.0),
+                       initial=InitSpec("fs", p0=450000.0, theta0=0.4),
+                       graph_spec=GraphSpec(kind="lattice", side=300))
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [row.attractor.kind for row in rows] == ["fixed", "fixed"]
+        assert [row.attractor.theta_star.shape for row in rows] == [(90_000,)] * 2
+        assert held < 90_000 * 8 / 2  # half of one opinion vector
+
+
+
+# Exact FS orbits on complete graphs of n agents, at gamma 0.5, p_bar 0.75 n and p0
+# 5 n (the benchmark's n = 20 setting, scaled): beta 0.3 and 0.45 are fixed from
+# tick 54, 0.515 has period 77 from tick 484, 0.63 period 13 from 884 and 0.635
+# period 11 from 1041, while 0.52 and 0.53 recur within no 20 000 ticks.
+RECUR_BETAS = (0.3, 0.45, 0.515, 0.63, 0.635, 0.52, 0.53)
+
+
+def assert_fs_run_matches_loop(params, theta0, n, ticks, p0=None):
+    """_run of FS points on a complete graph (one point as scalars, more as a batch)
+    equals the per-agent reference run at every record, bit for bit."""
+    graph = complete_graph(n)
+    s0 = fs_initial_state(theta0, n, 5.0 * n if p0 is None else p0, params[0])
+    par = vars(params[0]) if len(params) == 1 else {
+        k: [getattr(pr, k) for pr in params] for k in vars(params[0])}
+    got = _run(s0, graph, par, ticks)
+    for j, pr in enumerate(params):
+        want = run_loop(s0, graph, pr, ticks[-1])
+        for g, w in zip(got, want):
+            assert g[j].dtype == w.dtype and g[j].tobytes() == w[list(ticks)].tobytes()
+
+
+def step_opinion_calls(monkeypatch):
+    """Record each ``step_opinion`` call of the run loop: one per tick of a run."""
+    calls, real = [], dynamics.step_opinion
+
+    def counted(theta, f):
+        calls.append(None)
+        return real(theta, f)
+
+    monkeypatch.setattr(dynamics, "step_opinion", counted)
+    return calls
+
+
+class TestFsRecurrence:
+    """An FS run stops at an exact recurrence of its state and fills the later
+    records by index; every record keeps the bits of the plain loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_batches(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        # the pool's recurring betas at its gamma and p_bar, or anything
+        recur = data.draw(st.booleans(), label="recur")
+        beta = st.sampled_from(RECUR_BETAS[:5]) if recur else st.one_of(
+            st.sampled_from(RECUR_BETAS), st.floats(0.0, 1.0))
+        betas = data.draw(st.lists(beta, min_size=1, max_size=6), label="betas")
+        gamma = 0.5 if recur else data.draw(st.floats(0.01, 0.99), label="gamma")
+        p_bar = 0.75 * n if recur else data.draw(st.floats(0.1 * n, 1.9 * n), label="p_bar")
+        theta0 = data.draw(st.one_of(st.just(0.4), st.floats(-0.99, 0.99).filter(bool)),
+                           label="theta0")
+        end = data.draw(st.integers(1, 2600), label="end")
+        if data.draw(st.booleans(), label="tail"):  # the records of a sweep tail
+            ticks = range(data.draw(st.integers(1, end), label="first"), end + 1)
+        else:  # simulate's records
+            ticks = sorted({*range(0, end, data.draw(st.sampled_from([1, 7]))), end})
+        params = [ModelParams(b, gamma, 0.0, 1.0, p_bar) for b in betas]
+        assert_fs_run_matches_loop(params, theta0, n, ticks)
+
+    def test_batch_of_early_late_and_no_recurrence(self, monkeypatch):
+        calls = step_opinion_calls(monkeypatch)
+        params = [ModelParams(b, 0.5, 0.0, 1.0, 1.5) for b in RECUR_BETAS]
+        assert_fs_run_matches_loop(params, 0.4, 2, range(1, 2601))
+        assert len(calls) == 2600  # 0.52 and 0.53 keep the batch running
+        calls.clear()
+        assert_fs_run_matches_loop(params[:5], 0.4, 2, range(1, 2601))
+        # the last point recurs in the window of the 2048 anchor, at period 77, and 76
+        # more ticks run the longest period once
+        assert len(calls) == 2048 + 77 + 76
+
+    @pytest.mark.parametrize("betas", [[0.5], [0.5, 0.3]], ids=["single", "batch"])
+    def test_ties_keep_the_memory(self, betas):
+        # at beta = 1/2 against q_p = -1 the field is 0, so 1e-300 steps to exactly 0
+        params = [ModelParams(b, 0.5, 0.0, 1.0, 15.0) for b in betas]
+        assert run_loop(fs_initial_state(1e-300, 20, 100.0, params[0]), complete_graph(20),
+                        params[0], 1)[0][1, 0] == 0.0
+        assert_fs_run_matches_loop(params, 1e-300, 20, range(1, 300), p0=100.0)
+        # from 8 the pollution climbs by halves to 40 and lands on p_bar = 36 at tick 3
+        params = [replace(pr, p_bar=36.0) for pr in params]
+        assert run_loop(fs_initial_state(0.4, 20, 8.0, params[0]), complete_graph(20),
+                        params[0], 3)[1][3] == 36.0
+        assert_fs_run_matches_loop(params, 0.4, 20, range(1, 300), p0=8.0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.99])
+    def test_pollution_still_converging(self, gamma):
+        # at gamma = 0.99 the opinion is fixed long before the pollution's bits are
+        params = [ModelParams(0.45, gamma, 0.0, 1.0, 1.5)]
+        for points in (params, params * 2):
+            assert_fs_run_matches_loop(points, 0.4, 2, range(1, 6001))
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("beta", RECUR_BETAS)
+    def test_simulate(self, beta, stride):
+        params = ModelParams(beta, 0.5, 0.0, 1.0, 1.5)
+        s0 = fs_initial_state(0.4, 2, 10.0, params)
+        traj = simulate(s0, complete_graph(2), params, 2600, stride)
+        want = run_loop(s0, complete_graph(2), params, 2600)
+        for got, ref in zip((traj.opinions, traj.pollution, traj.actions, traj.q_p), want):
+            assert got.tobytes() == ref[traj.ticks].tobytes()
+
+    @pytest.mark.parametrize("window, calls_made", [(11, 2048 + 11 + 10), (10, 2600)],
+                             ids=["period-equal-to-window", "period-one-past-window"])
+    @pytest.mark.parametrize("betas", [[0.635], [0.45, 0.635]], ids=["single", "batch"])
+    def test_period_at_the_window_edge(self, monkeypatch, betas, window, calls_made):
+        # 0.635 has period 11 from tick 1041 on, so the anchor at 2048 finds it
+        monkeypatch.setattr(dynamics, "_RECUR_WINDOW", window)
+        calls = step_opinion_calls(monkeypatch)
+        params = [ModelParams(b, 0.5, 0.0, 1.0, 1.5) for b in betas]
+        assert_fs_run_matches_loop(params, 0.4, 2, range(2601))
+        assert len(calls) == calls_made
+
 
 def run_loop_calls(monkeypatch):
     """(params dict, result) of each run loop call of run_sweep, one per chunk."""
     calls, real = [], sweep_module._run
 
-    def spy(initial, graph, par, record_ticks):
-        calls.append((par, real(initial, graph, par, record_ticks)))
+    def spy(initial, graph, par, record_ticks, stop=None):
+        calls.append((par, real(initial, graph, par, record_ticks, stop)))
         return calls[-1][1]
 
     monkeypatch.setattr(sweep_module, "_run", spy)
