@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ModelParams, Trajectory, _check_count, _total_emission, _write_csv
+from .dynamics import ModelParams, Trajectory, _check_count, _field, _total_emission, _write_csv
 from .graph import Graph
 
 
@@ -85,13 +85,14 @@ class ClusterReport:
 def predicted_opinion_limit(n_i_plus_star: int, n_i: int, q_p_star: int, beta: float) -> float:
     """Opinion limit when the neighbor partition and the signal are stationary.
 
-    (1 - beta) * (2 * n_i_plus_star - n_i) / n_i + beta * q_p_star.
+    (1 - beta) * (2 * n_i_plus_star - n_i) / n_i + beta * q_p_star, rounded as
+    the run loop rounds the field.
     """
-    if not 0 <= n_i_plus_star <= n_i or n_i < 1:
-        raise ValueError(
-            f"need 0 <= n_i_plus_star <= n_i and n_i >= 1, got {n_i_plus_star}, {n_i}"
-        )
-    return (1.0 - beta) * (2 * n_i_plus_star - n_i) / n_i + beta * q_p_star
+    _check_count("n_i", n_i, 1)
+    _check_count("n_i_plus_star", n_i_plus_star, 0)
+    if n_i_plus_star > n_i:
+        raise ValueError(f"n_i_plus_star must be at most n_i = {n_i}, got {n_i_plus_star}")
+    return _field((2 * n_i_plus_star - n_i) / n_i, q_p_star, beta)
 
 
 def pollution_equilibrium(n_plus: int, n_minus: int, params: ModelParams) -> float:
@@ -100,15 +101,15 @@ def pollution_equilibrium(n_plus: int, n_minus: int, params: ModelParams) -> flo
     (n_plus * e_max + n_minus * e_min) / (1 - gamma); depends only on how the
     population splits between the two actions.
     """
+    _check_count("n_plus", n_plus, 0)
+    _check_count("n_minus", n_minus, 0)
     return _total_emission(n_plus, n_minus, params.e_min, params.e_max) / (1.0 - params.gamma)
 
 
 def pollution_bounds(params: ModelParams, n_agents: int) -> tuple[float, float]:
     """(p_min, p_max): equilibria under unanimous action -1 / +1."""
-    return (
-        pollution_equilibrium(0, n_agents, params),
-        pollution_equilibrium(n_agents, 0, params),
-    )
+    _check_count("n_agents", n_agents, 0)
+    return pollution_equilibrium(0, n_agents, params), pollution_equilibrium(n_agents, 0, params)
 
 
 def qp_stationarity_certificate(p_k: float, params: ModelParams, n_agents: int) -> bool:
@@ -294,8 +295,8 @@ def fs_escape_bound(beta: float) -> int:
     starting opinions shrink more slowly at first (the mobility factor
     1 - theta^2 is small near the boundary) and can exceed this bound.
     """
-    if beta <= 0.5:
-        raise ValueError(f"escape bound requires beta > 1/2, got {beta}")
+    if not 0.5 < beta <= 1.0:
+        raise ValueError(f"escape bound requires beta in (1/2, 1], got {beta}")
     return math.ceil(1.0 / (2.0 * beta - 1.0))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _check_count
 
 
 @dataclass(frozen=True)
@@ -303,14 +303,6 @@ def _check_seed(seed) -> None:
     """Reject a seed that is not an int in [0, 2**64); a bool is not a seed."""
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
-
-
-def _check_count(name: str, value, lo: int) -> None:
-    """Reject a count that is not an int of at least ``lo`` (0 or 1); a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be {'positive' if lo else 'nonnegative'}, got {value}")
 
 
 # Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11).

@@ -15,6 +15,15 @@ from pathlib import Path
 import numpy as np
 
 
+def _check_count(name: str, value, lo: int) -> None:
+    """Reject a count that is not an int of at least ``lo``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        bound = "nonnegative" if lo == 0 else "positive" if lo == 1 else f"at least {lo}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Interaction graph with per-agent in-neighborhoods, in CSR form.
@@ -37,8 +46,7 @@ class Graph:
 
     def __post_init__(self):
         n = self.n_agents
-        if n < 1:
-            raise ValueError(f"graph needs at least one agent, got {n}")
+        _check_count("n_agents", n, 1)
         indptr = np.array(self.indptr, dtype=np.int64)
         indices = np.array(self.indices, dtype=np.int64)
         indptr.flags.writeable = indices.flags.writeable = False
@@ -173,8 +181,7 @@ def complete_graph(n: int) -> Graph:
 
     Requires n >= 2 so that every agent has a neighbor.
     """
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
+    _check_count("n", n, 2)
     src, dst = np.nonzero(np.tri(n, k=-1, dtype=bool))  # every pair src > dst
     return _from_edges(n, src, dst, directed=False)
 
@@ -185,8 +192,7 @@ def square_lattice(side: int) -> Graph:
     Corner agents have 2 neighbors, border agents 3, interior agents 4.
     Agent (r, c) has index ``r * side + c``.
     """
-    if side < 2:
-        raise ValueError(f"square lattice needs side >= 2, got {side}")
+    _check_count("side", side, 2)
     idx = np.arange(side * side).reshape(side, side)
     src = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
     dst = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
@@ -200,8 +206,8 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     chosen other vertex, so the result is always legal for the dynamics
     (minimum degree 1) without rejection sampling.
     """
-    if n < 2:
-        raise ValueError(f"random graph needs n >= 2, got {n}")
+    _check_count("n", n, 2)
+    _check_count("seed", seed, 0)
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in (0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)

@@ -32,10 +32,18 @@ from codapol.dynamics import (
     Trajectory,
     fs_initial_state,
     initial_state,
+    local_fields,
     random_opinions,
     simulate,
 )
-from codapol.graph import GraphSpec, complete_graph, parse_edge_list, random_graph, square_lattice
+from codapol.graph import (
+    Graph,
+    GraphSpec,
+    complete_graph,
+    parse_edge_list,
+    random_graph,
+    square_lattice,
+)
 
 from helpers import (
     SPECIAL_FLOATS,
@@ -80,6 +88,17 @@ class TestPredictedOpinionLimit:
         with pytest.raises(ValueError):
             predicted_opinion_limit(0, 0, 1, 0.5)
 
+    def test_equals_the_run_loops_field_bit_for_bit(self):
+        # agent 0 of a complete graph on n_i + 1 agents sees n_plus neighbors at +1;
+        # with this partition and signal stationary, its opinion settles on that field
+        for n_i in range(1, 13):
+            graph = complete_graph(n_i + 1)
+            for n_plus, q_p, beta in itertools.product(
+                    range(n_i + 1), (-1, 1), (0.0, 0.01, 0.1, 0.3, 0.45, 0.7, 0.99, 1.0)):
+                actions = np.where(np.arange(n_i + 1) <= n_plus, 1, -1)
+                want = local_fields(actions, q_p, graph, beta)[0]
+                assert predicted_opinion_limit(n_plus, n_i, q_p, beta).hex() == want.hex()
+
 
 class TestPollutionEquilibrium:
     def test_unanimous_positive(self):
@@ -108,6 +127,45 @@ class TestQpStationarityCertificate:
     def test_boundary_inclusive(self):
         params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=40.0)
         assert qp_stationarity_certificate(40.0, params, 20) is True
+
+
+TWO_AGENT_CSR = dict(indptr=[0, 1, 2], indices=[1, 0])
+
+
+class TestCountArguments:
+    """Every count argument of the graph constructors and the analytical
+    helpers rejects a non-int, a bool and a value below its bound by name."""
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", np.float64(3), -1],
+                             ids=["float", "bool", "str", "np.float64", "negative"])
+    @pytest.mark.parametrize("name, call", [
+        ("n_agents", lambda v: Graph(n_agents=v, **TWO_AGENT_CSR)),
+        ("n", complete_graph),
+        ("side", square_lattice),
+        ("n", lambda v: random_graph(v, 0.5, seed=0)),
+        ("seed", lambda v: random_graph(4, 0.5, seed=v)),
+        ("n_plus", lambda v: pollution_equilibrium(v, 0, BASE)),
+        ("n_minus", lambda v: pollution_equilibrium(0, v, BASE)),
+        ("n_agents", lambda v: pollution_bounds(BASE, v)),
+        ("n_agents", lambda v: qp_stationarity_certificate(30.0, BASE, v)),
+        ("n_agents", lambda v: fs_action_equilibria(BASE, v)),
+        ("n_i", lambda v: predicted_opinion_limit(0, v, 1, 0.5)),
+        ("n_i_plus_star", lambda v: predicted_opinion_limit(v, 3, 1, 0.5)),
+    ], ids=["Graph", "complete_graph", "square_lattice", "random_graph-n", "random_graph-seed",
+            "pollution_equilibrium-n_plus", "pollution_equilibrium-n_minus", "pollution_bounds",
+            "qp_stationarity_certificate", "fs_action_equilibria",
+            "predicted_opinion_limit-n_i", "predicted_opinion_limit-n_i_plus_star"])
+    def test_bad_count_rejected_by_name(self, name, call, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(bad)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: complete_graph(1), "n must be at least 2, got 1"),
+        (lambda: square_lattice(0), "side must be at least 2, got 0"),
+    ])
+    def test_messages_state_the_bound(self, call, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            call()
 
 
 class TestCertifyCluster:
@@ -630,6 +688,10 @@ class TestFsEscapeBound:
             fs_escape_bound(0.5)
         with pytest.raises(ValueError):
             fs_escape_bound(0.3)
+        with pytest.raises(ValueError, match=r"beta in \(1/2, 1\], got 2.0"):
+            fs_escape_bound(2.0)
+        with pytest.raises(ValueError, match=r"beta in \(1/2, 1\], got nan"):
+            fs_escape_bound(math.nan)
 
     @given(
         beta=st.floats(0.501, 1.0),

@@ -250,7 +250,7 @@ class TestGraphValidation:
             Graph(n_agents=2, indptr=indptr, indices=[1, 0], directed=False)
 
     def test_no_agents_rejected(self):
-        with pytest.raises(ValueError, match="at least one agent, got 0"):
+        with pytest.raises(ValueError, match="n_agents must be positive, got 0"):
             Graph(n_agents=0, indptr=[0], indices=[])
 
     def test_csr_arrays_consistent(self):

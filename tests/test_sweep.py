@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, classify_states
+from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, class_period, classify_states
 from codapol import dynamics
 from codapol.dynamics import (
     _BLOCK_FIELDS,
@@ -673,6 +673,50 @@ class TestFsFromStartState:
             assert attractor_bytes(a.attractor) == attractor_bytes(b.attractor)
             assert a.opinion_samples.tobytes() == b.opinion_samples.tobytes()
             assert a.p_samples.tobytes() == b.p_samples.tobytes()
+
+
+class TestRandomStarts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bounded_repeatable_and_thread_independent(self, data):
+        # small complete, lattice and random graphs, random parameters and a random start
+        kind = data.draw(st.sampled_from(["complete", "lattice", "random"]), label="kind")
+        if kind == "lattice":
+            graph_spec = GraphSpec(kind=kind, side=data.draw(st.integers(2, 5), label="side"))
+        elif kind == "complete":
+            graph_spec = GraphSpec(kind=kind, n=data.draw(st.integers(2, 8), label="n"))
+        else:
+            graph_spec = GraphSpec(kind=kind, n=data.draw(st.integers(2, 12), label="n"),
+                                   edge_prob=data.draw(st.floats(0.01, 1.0), label="p"),
+                                   seed=data.draw(st.integers(0, 2**32), label="graph_seed"))
+        params = ModelParams(
+            beta=data.draw(SWEPT_VALUES["beta"], label="beta"),
+            gamma=data.draw(SWEPT_VALUES["gamma"], label="gamma"),
+            e_min=0.0, e_max=1.0,
+            p_bar=data.draw(SWEPT_VALUES["p_bar"], label="p_bar"),
+        )
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        graph = graph_spec.build()
+        s0 = initial_state(random_opinions(seed, graph.n_agents), 100.0, params)
+        n_steps = data.draw(st.integers(0, 300), label="n_steps")
+        first, second = (simulate(s0, graph, params, n_steps) for _ in range(2))
+        assert (np.abs(first.opinions) <= 1.0).all()  # NaN fails too
+        for name in ("ticks", "opinions", "pollution", "actions", "q_p"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+
+        swept = data.draw(st.sampled_from(SWEEPABLE), label="swept")
+        grid = sorted(data.draw(st.lists(SWEPT_VALUES[swept], min_size=2, max_size=4,
+                                         unique=True), label="grid"))
+        spec = SweepSpec(base_params=params, swept_param=swept, grid=grid,
+                         initial=InitSpec("random", p0=100.0), graph_spec=graph_spec, seed=seed,
+                         transient=data.draw(st.integers(0, 200), label="transient"),
+                         tail=32, max_period=16)
+
+        def row_bytes(threads):
+            return [(class_period(r.attractor), r.opinion_samples.tobytes(), r.p_samples.tobytes())
+                    for r in run_sweep(spec, threads=threads)]
+
+        assert row_bytes(1) == row_bytes(2)
 
 
 class TestAttractorGallery:
