@@ -92,6 +92,10 @@ def predicted_opinion_limit(n_i_plus_star: int, n_i: int, q_p_star: int, beta: f
     _check_count("n_i_plus_star", n_i_plus_star, 0)
     if n_i_plus_star > n_i:
         raise ValueError(f"n_i_plus_star must be at most n_i = {n_i}, got {n_i_plus_star}")
+    if isinstance(q_p_star, bool) or q_p_star not in (-1, 1):
+        raise ValueError(f"q_p_star must be -1 or 1, got {q_p_star!r}")
+    if not 0.0 <= beta <= 1.0:  # NaN fails
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return _field((2 * n_i_plus_star - n_i) / n_i, q_p_star, beta)
 
 

@@ -10,6 +10,7 @@ from tick-k quantities only.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -397,6 +398,12 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     FS batch looks its fields and emission totals up in per-point tables
     built by the same rules, so a tick is a few numpy calls.
 
+    Off an FS start the field depends only on the memories (q, q_p), so the
+    loop keeps it and calls ``neighbor_mean`` again only after a tick that
+    flipped one of them.  Each tick counts the new +1 actions, which the
+    pollution needs anyway, and compares the [N] memories only while that
+    count and q_p stay put, so a tick that changes the count costs no extra pass.
+
     An FS tick depends only on (theta, p, q, q_p) and the params, so a state
     with the same bits at ticks a and a + m repeats with period m from a on
     (cycle detection as in Brent, BIT 20, 1980).  An FS run compares an
@@ -442,6 +449,25 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
             p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
             q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
         return theta, p, q, qp
+
+    if not fs:
+        f, n_plus = None, count_plus(q)  # the field of (q, q_p), None once one of them flips
+        differ = operator.ne if n_pts == 1 else lambda a, b: (a != b).any()  # Python ints at P = 1
+
+        def advance(state, ticks):
+            nonlocal f, n_plus
+            theta, p, q, qp = state
+            for _ in range(ticks):
+                if f is None:
+                    f = _field(neighbor_mean(q), qp, beta)
+                theta = step_opinion(theta, f)
+                p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
+                new_q, new_qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
+                new_n = count_plus(new_q)
+                if differ(new_qp, qp) or differ(new_n, n_plus) or np.count_nonzero(new_q != q):
+                    f = None
+                q, qp, n_plus = new_q, new_qp, new_n
+            return theta, p, q, qp
 
     table = fs and n_pts > 1
     if table:

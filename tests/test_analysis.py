@@ -88,6 +88,21 @@ class TestPredictedOpinionLimit:
         with pytest.raises(ValueError):
             predicted_opinion_limit(0, 0, 1, 0.5)
 
+    @pytest.mark.parametrize("name, q_p_star, beta", [
+        ("q_p_star", 5, 0.5),
+        ("q_p_star", 0, 0.5),
+        ("q_p_star", True, 0.5),
+        ("q_p_star", "1", 0.5),
+        ("q_p_star", math.nan, 0.5),
+        ("beta", 1, math.nan),
+        ("beta", 1, -0.1),
+        ("beta", -1, 1.5),
+        ("beta", -1, math.inf),
+    ])
+    def test_bad_signal_or_weight_rejected_by_name(self, name, q_p_star, beta):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            predicted_opinion_limit(1, 2, q_p_star, beta)
+
     def test_equals_the_run_loops_field_bit_for_bit(self):
         # agent 0 of a complete graph on n_i + 1 agents sees n_plus neighbors at +1;
         # with this partition and signal stationary, its opinion settles on that field

@@ -17,6 +17,7 @@ from codapol.dynamics import (
     _run,
     fs_initial_state,
     initial_state,
+    quantize_opinion,
     random_opinions,
     simulate,
     step,
@@ -27,6 +28,7 @@ from codapol.graph import (
     complete_graph,
     parse_edge_list,
     random_graph,
+    square_lattice,
 )
 from codapol import sweep as sweep_module
 from codapol.sweep import (
@@ -618,6 +620,115 @@ class TestFsRecurrence:
         params = [ModelParams(b, 0.5, 0.0, 1.0, 1.5) for b in betas]
         assert_fs_run_matches_loop(params, 0.4, 2, range(2601))
         assert len(calls) == calls_made
+
+
+def memory_flips(traj):
+    """For each recorded step, whether some action or q_p changed across it."""
+    actions, q_p = traj.actions.astype(np.int64), traj.q_p.astype(np.int64)
+    return (actions[1:] != actions[:-1]).any(axis=1) | (q_p[1:] != q_p[:-1])
+
+
+def random_start(graph, beta, p_bar, seed=1):
+    """A random start on ``graph``, with gamma 0.5, emissions 0 / 1 and p0 = 100."""
+    params = ModelParams(beta, 0.5, 0.0, 1.0, p_bar)
+    return graph, params, initial_state(random_opinions(seed, graph.n_agents), 100.0, params)
+
+
+class TestReusedField:
+    """Off an FS start the run loop keeps its field while no action or q_p flips:
+    runs equal the per-agent reference run bit for bit, and the field is
+    computed again only after a tick that flipped one."""
+
+    @pytest.mark.parametrize("graph, beta, p_bar, quiet", [
+        (square_lattice(8), 0.45, 15.0, True),  # the actions freeze within a few ticks
+        (square_lattice(8), 0.9, 32.0, False),  # p_bar = N / 2: actions and q_p keep flipping
+        (complete_graph(12), 0.45, 15.0, True),
+        (parse_edge_list(DIRECTED_EDGES), 0.45, 15.0, True),
+    ], ids=["quiet", "strong-coupling", "complete", "directed"])
+    def test_runs_match_loop(self, graph, beta, p_bar, quiet):
+        graph, params, s0 = random_start(graph, beta, p_bar)
+        assert_single_runs_match_loop(s0, graph, params, 100)
+        traj = simulate(s0, graph, params, 100)
+        flips = memory_flips(traj)
+        if quiet:
+            assert 0 < flips.sum() <= 5 and not flips[10:].any()
+        else:
+            assert flips.sum() >= 80 and (traj.q_p[1:] != traj.q_p[:-1]).sum() >= 20
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_opinions_landing_on_zero_keep_their_memories(self, sign):
+        # at beta = 0 agent 0 of a complete graph of 3 faces a field of exactly 0 (its
+        # neighbors hold +1 and -1), so +-1e-200 lands on 0.0 at tick 1 and keeps its memory
+        # while agent 2 moves; the memory then sets the field of agents 1 and 2
+        params = ModelParams(0.0, 0.5, 0.0, 1.0, 15.0)
+        s0 = initial_state([sign * 1e-200, 0.5, -0.5], 100.0, params)
+        assert_single_runs_match_loop(s0, complete_graph(3), params, 40)
+        traj = simulate(s0, complete_graph(3), params, 40)
+        zero = traj.opinions[:, 0] == 0.0
+        assert zero[1] and (traj.actions[zero, 0] == sign).all()
+
+    def test_hand_built_zero_opinions_keep_their_memories(self):
+        # simulate rejects a tick-0 opinion of +-0.0; the run loop keeps each memory
+        graph, params = complete_graph(4), ModelParams(0.0, 0.5, 0.0, 1.0, 15.0)
+        s0 = SimState(np.array([-0.0, 0.0, 0.5, -0.5]), 100.0, np.array([1, -1, 1, -1]), -1)
+        want = run_loop(s0, graph, params, 30)
+        got = _run(s0, graph, vars(params), range(31))
+        assert got[2][0, 0].tolist() == [1, -1, 1, -1]
+        for g, w in zip(got, want):
+            assert g[0].tobytes() == w.tobytes()
+
+    def test_zero_action_memory_takes_the_opinions_sign(self):
+        # a hand-built memory of 0 is refreshed from the opinions, as quantize_opinion does
+        opinions = np.array([0.4, -0.3, 0.2, -0.1, 0.6])
+        s0 = SimState(opinions.copy(), 100.0, np.zeros(5, dtype=np.int64), -1)
+        assert quantize_opinion(opinions, s0.actions).tolist() == [1, -1, 1, -1, 1]
+        assert_single_runs_match_loop(s0, complete_graph(5), BASE, 30)
+        s1 = step(s0, complete_graph(5), BASE)
+        assert s1.actions.tolist() == np.sign(s1.opinions).astype(np.int64).tolist()
+
+    def test_simulate_leaves_the_start_unchanged(self):
+        graph, params, s0 = random_start(square_lattice(8), 0.9, 32.0)
+        s0.actions = -s0.actions  # stale memories, which the run refreshes
+        opinions, actions = s0.opinions.copy(), s0.actions.copy()
+        simulate(s0, graph, params, 50)
+        assert s0.opinions.tobytes() == opinions.tobytes()
+        assert s0.actions.tobytes() == actions.tobytes()
+
+    @pytest.mark.parametrize("side, beta, p_bar, fewest, most", [
+        (60, 0.45, 15.0, 2, 11),  # perfbench's big-lattice config at side 60
+        (50, 0.9, 1250.0, 100, 100),  # p_bar = N / 2: some action flips at every tick
+        (8, 0.9, 32.0, 80, 100),
+    ])
+    def test_field_computed_once_plus_once_per_flip(self, side, beta, p_bar, fewest, most,
+                                                    monkeypatch):
+        graph, params, s0 = random_start(square_lattice(side), beta, p_bar)
+        calls = neighbor_mean_calls(monkeypatch)
+        flips = memory_flips(simulate(s0, graph, params, 100))
+        # a flip in the last tick leaves no tick to compute a field for
+        assert fewest <= len(calls) == 1 + flips[:-1].sum() <= most
+
+    def test_non_fs_sweep_rows_equal_at_one_and_two_threads(self, monkeypatch):
+        # in one [P, N] batch a point that froze shares the field computations of
+        # the points still flipping; split, each chunk computes its own
+        spec = fs_spec([0.3, 0.45, 0.9], base_params=ModelParams(0.5, 0.5, 0.0, 1.0, 32.0),
+                       transient=100, tail=64, max_period=16,
+                       initial=InitSpec("random", p0=100.0), seed=3,
+                       graph_spec=GraphSpec(kind="lattice", side=8))
+        calls = run_loop_calls(monkeypatch)
+        one, two = run_sweep(spec, threads=1), run_sweep(spec, threads=2)
+        assert len(calls) == 3
+        for a, b in zip(one, two, strict=True):
+            assert a.param_value == b.param_value
+            assert attractor_bytes(a.attractor) == attractor_bytes(b.attractor)
+            assert a.opinion_samples.tobytes() == b.opinion_samples.tobytes()
+            assert a.p_samples.tobytes() == b.p_samples.tobytes()
+        graph = spec.graph_spec.build()
+        for row, batch_tail in zip(one, tail_opinions(calls[:1]), strict=True):
+            params = spec.params_at(row.param_value)
+            s0 = initial_state(random_opinions(3, graph.n_agents), 100.0, params)
+            want = run_loop(s0, graph, params, spec.transient + spec.tail)
+            assert batch_tail.tobytes() == want[0][spec.transient + 1:].tobytes()
+            assert row.p_samples.tobytes() == want[1][spec.transient + 1:].tobytes()
 
 
 def run_loop_calls(monkeypatch):
