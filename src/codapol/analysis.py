@@ -145,10 +145,15 @@ def _mask(agents, n: int, what: str) -> np.ndarray:
 
 
 def _actions(actions, graph: Graph) -> np.ndarray:
+    """``actions`` as an array of one action per agent, each -1 or 1."""
     actions = np.asarray(actions)
     if actions.shape != (graph.n_agents,):
         raise ValueError(f"need one action per agent ({graph.n_agents}), "
                          f"got an array of shape {actions.shape}")
+    bad = np.flatnonzero((actions != -1) & (actions != 1))  # NaN is neither
+    if bad.size:
+        raise ValueError(f"agent {bad[0]} has action {actions[bad[0]].item()!r}; "
+                         "an action must be -1 or 1")
     return actions
 
 
@@ -314,9 +319,10 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
 
     A period m can match only if the last state is within ``tol`` of the
     state m ticks earlier, so that gap is computed for every m in one
-    vectorized step and the full-tail check runs only on the m that pass
-    (cycle detection as in Brent, BIT 20, 1980).  The result is the same
-    as checking every m; a NaN gap fails, as a NaN full check does.
+    vectorized step (cycle detection as in Brent, BIT 20, 1980).  An m that
+    passes must then match the first state to the state m ticks later, row
+    0 of its full-tail check, before that check runs.  The result is the
+    same as checking every m; a NaN gap fails, as a NaN full check does.
     """
     _check_count("max_period", max_period, 1)
     if not 0 < tol < math.inf:
@@ -336,7 +342,8 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
     earlier = states[n_tail - 1 - max_period:n_tail - 1][::-1]
     gaps = np.max(np.abs(states[-1] - earlier), axis=1)
     for m in (np.flatnonzero(gaps < tol) + 1).tolist():
-        if float(np.max(np.abs(states[m:] - states[:-m]))) < tol:
+        if (np.max(np.abs(states[m] - states[0])) < tol
+                and np.max(np.abs(states[m:] - states[:-m])) < tol):
             if m == 1:
                 return FixedPoint(theta_star=np.broadcast_to(cols[-1].copy(), thetas.shape[1:]),
                                   p_star=float(pollutions[-1]))

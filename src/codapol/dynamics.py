@@ -398,11 +398,11 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     FS batch looks its fields and emission totals up in per-point tables
     built by the same rules, so a tick is a few numpy calls.
 
-    Off an FS start the field depends only on the memories (q, q_p), so the
-    loop keeps it and calls ``neighbor_mean`` again only after a tick that
-    flipped one of them.  Each tick counts the new +1 actions, which the
-    pollution needs anyway, and compares the [N] memories only while that
-    count and q_p stay put, so a tick that changes the count costs no extra pass.
+    Every other run, a single FS point included, keeps its field, which
+    depends only on the memories (q, q_p), until a tick flips one of them.
+    Each tick counts the new +1 actions, which the pollution needs anyway,
+    and compares the [N] memories only while that count and q_p stay put,
+    so a tick that changes the count costs no extra pass.
 
     An FS tick depends only on (theta, p, q, q_p) and the params, so a state
     with the same bits at ticks a and a + m repeats with period m from a on
@@ -441,18 +441,12 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     elif fs:
         theta, q = theta.item(), q.item()
 
-    def advance(state, ticks):
-        theta, p, q, qp = state
-        for _ in range(ticks):
-            n_plus = count_plus(q)
-            theta = step_opinion(theta, _field(neighbor_mean(q), qp, beta))
-            p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
-            q, qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
-        return theta, p, q, qp
-
-    if not fs:
+    table = fs and n_pts > 1
+    if not table:
         f, n_plus = None, count_plus(q)  # the field of (q, q_p), None once one of them flips
-        differ = operator.ne if n_pts == 1 else lambda a, b: (a != b).any()  # Python ints at P = 1
+        # an FS column flips its action exactly when its +1 count changes
+        changed = operator.ne if fs else lambda a, b: np.count_nonzero(a != b)
+        differ = operator.ne if n_pts == 1 else changed  # Python ints at P = 1
 
         def advance(state, ticks):
             nonlocal f, n_plus
@@ -464,13 +458,11 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
                 p = step_pollution(p, _total_emission(n_plus, n - n_plus, e_min, e_max), gamma)
                 new_q, new_qp = quantize_opinion(theta, q), quantize_pollution(p, p_bar, qp)
                 new_n = count_plus(new_q)
-                if differ(new_qp, qp) or differ(new_n, n_plus) or np.count_nonzero(new_q != q):
+                if differ(new_qp, qp) or differ(new_n, n_plus) or changed(new_q, q):
                     f = None
                 q, qp, n_plus = new_q, new_qp, new_n
             return theta, p, q, qp
-
-    table = fs and n_pts > 1
-    if table:
+    else:
         # the signs as ints, q + 1 in {0, 2} and (q_p + 1) / 2 in {0, 1}, sum to a
         # point's column of the field and emission tables; bools would index as masks
         base = 4 * np.arange(n_pts)[:, None]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codapol import analysis as analysis_module
 from codapol.analysis import (
     ActionSpacePoint,
     Aperiodic,
@@ -68,6 +69,16 @@ DIRECTED_TEXT = "N 4 directed=1\n0 1\n2 0\n3 2\n2 3\n"
 DIRECTED = parse_edge_list(DIRECTED_TEXT)
 DIRECTED_SWAPPED = parse_edge_list("N 4 directed=1\n1 0\n2 1\n3 2\n2 3\n")
 SWAP_01 = [1, 0, 2, 3]
+
+# Actions of a 3 x 3 lattice with an entry other than -1 and 1, each with the
+# agent and value its error names.  0 is a ClusterReport's "mixed" action, and
+# int() would read 0.5 as 0.
+BAD_ACTIONS = [
+    (np.zeros(9), r"agent 0 has action 0\.0; an action must be -1 or 1$"),
+    (np.full(9, 0.5), r"agent 0 has action 0\.5;"),
+    (np.array([1] * 8 + [7]), r"agent 8 has action 7;"),
+    (np.array([1, np.nan] + [1] * 7), r"agent 1 has action nan;"),
+]
 
 
 class TestPredictedOpinionLimit:
@@ -251,6 +262,7 @@ class TestCertifyCluster:
         ([2**70], np.ones(9), 0.4, rf"member {2**70} out of range \[0, 9\)"),
         (np.array([1, 2**63], dtype=np.uint64), np.ones(9), 0.4,
          rf"member {2**63} out of range \[0, 9\)"),
+        *(([0, 1], actions, 0.3, match) for actions, match in BAD_ACTIONS),
     ])
     def test_bad_input_rejected(self, members, actions, beta, match):
         with pytest.raises(ValueError, match=match):
@@ -342,14 +354,16 @@ class TestSameActionComponents:
         (np.ones(9), [0, 9], r"agent 9 out of range \[0, 9\)"),
         (np.ones(4), None, r"one action per agent \(9\).*shape \(4,\)"),
         (np.ones(12), [0], r"one action per agent \(9\).*shape \(12,\)"),
+        *((actions, None, match) for actions, match in BAD_ACTIONS),
     ])
     def test_bad_input_rejected(self, actions, agents, match):
         with pytest.raises(ValueError, match=match):
             same_action_components(actions, square_lattice(3), agents=agents)
 
     def test_agents_off_the_pool_join_nothing(self):
-        # agents 0 and 2 share action 0 with every agent between them, none in the pool
-        actions = np.array([0, 5, 0, 0, 0, 0, 0, 7, 0])
+        # the pool's agents share action 1 with agents 3, 5 and 6, which link them
+        # but are not in the pool
+        actions = np.array([1, -1, 1, 1, 1, 1, 1, -1, 1])
         comps = same_action_components(actions, square_lattice(3), agents=[0, 2, 4, 8])
         assert comps == [(0,), (2,), (4,), (8,)]
 
@@ -512,10 +526,8 @@ class TestClustersAgainstLoopOracles:
         n = g.n_agents
         rng = np.random.default_rng(seed)
         betas = ORACLE_BETAS + [float(rng.random())]
-        for draw in range(4):
+        for _ in range(4):
             actions = np.where(rng.random(n) < rng.uniform(0.2, 0.9), 1, -1)
-            if draw == 3:  # any integer labels, 0 included, join as the loop joins them
-                actions = rng.integers(-1, 2, n)
             pool = np.flatnonzero(rng.random(n) < 0.6).tolist()
             for agents in (None, pool):
                 comps = same_action_components(actions, g, agents=agents)
@@ -926,6 +938,28 @@ class TestPeriodPrefilter:
         states = planted_sequence(rng, period, 2 * max_period + extra, dim + 1,
                                   noise=noise_over_tol * tol / 2)
         self.assert_matches_unfiltered(states, tol, max_period)
+
+    def test_tail_that_settles_late_costs_one_row_per_period(self, monkeypatch):
+        # every last-state gap passes, since the tail has settled by its end; the
+        # first state rejects each period in one row, not in a full-tail check
+        max_period = 64
+        states = np.column_stack([1000.0 * 0.5 ** np.arange(4 * max_period)] * 3)
+        rows = []
+
+        class CountingNumpy:
+            """numpy, with each ``max`` call's rows compared counted."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def max(a, **kwargs):
+                rows.append(len(a) if np.ndim(a) > 1 else 1)
+                return np.max(a, **kwargs)
+
+        monkeypatch.setattr(analysis_module, "np", CountingNumpy())
+        assert self.assert_matches_unfiltered(states, 1e-9, max_period).kind == "aperiodic"
+        assert sum(rows) == 2 * max_period  # the gap vector, then one row per period
 
 
 class TestCsvExports:

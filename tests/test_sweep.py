@@ -635,9 +635,9 @@ def random_start(graph, beta, p_bar, seed=1):
 
 
 class TestReusedField:
-    """Off an FS start the run loop keeps its field while no action or q_p flips:
-    runs equal the per-agent reference run bit for bit, and the field is
-    computed again only after a tick that flipped one."""
+    """Outside an FS batch the run loop keeps its field while no action or q_p
+    flips: runs equal the per-agent reference run bit for bit, and the field
+    is computed again only after a tick that flipped one."""
 
     @pytest.mark.parametrize("graph, beta, p_bar, quiet", [
         (square_lattice(8), 0.45, 15.0, True),  # the actions freeze within a few ticks
@@ -705,6 +705,21 @@ class TestReusedField:
         calls = neighbor_mean_calls(monkeypatch)
         flips = memory_flips(simulate(s0, graph, params, 100))
         # a flip in the last tick leaves no tick to compute a field for
+        assert fewest <= len(calls) == 1 + flips[:-1].sum() <= most
+
+    @pytest.mark.parametrize("beta, fewest, most", [
+        (0.45, 1, 1),  # the gallery's fixed point: the FS column never flips
+        (0.999, 30, 62),  # the gallery's limit cycle: it flips in most ticks
+    ])
+    def test_fs_point_computes_its_field_once_plus_once_per_flip(self, beta, fewest, most,
+                                                                 monkeypatch):
+        # fewer ticks than the first recurrence test, so every tick run is recorded
+        params = replace(BASE, beta=beta)
+        s0 = fs_initial_state(0.4, 20, 100.0, params)
+        calls, real = [], dynamics._field
+        monkeypatch.setattr(dynamics, "_field", lambda *args: calls.append(args) or real(*args))
+        traj = simulate(s0, complete_graph(20), params, dynamics._RECUR_FIRST - 1)
+        flips = memory_flips(traj)
         assert fewest <= len(calls) == 1 + flips[:-1].sum() <= most
 
     def test_non_fs_sweep_rows_equal_at_one_and_two_threads(self, monkeypatch):
