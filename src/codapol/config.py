@@ -249,6 +249,14 @@ def _keys(section: str, kind) -> tuple[str, ...]:
     return _KINDS[section][kind]
 
 
+# The most points a grid_start/grid_stop/grid_step range may count.  At a
+# 1024-tick tail, one FS point records 18 KiB (two doubles and two int8 signs a
+# tick) and writes about 70 KiB of bifurcation.csv, so a million points need
+# 18 GB of records and 70 GB of CSV: no run past this bound can finish, and
+# counting first stops a mistyped step before it fills memory with grid values.
+_MAX_GRID_POINTS = 10**6
+
+
 def _grid_range(data: dict[str, str]) -> dict:
     """``grid`` from the parse-only grid_start/grid_stop/grid_step keys, if given."""
     given = {k: data.pop(k) for k in ("grid_start", "grid_stop", "grid_step") if k in data}
@@ -267,6 +275,9 @@ def _grid_range(data: dict[str, str]) -> dict:
     if math.isinf(steps):
         raise ConfigError(f"grid_step is too small to count the grid, got {step}")
     count = int(math.floor(steps)) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"grid_step {step!r} gives {count:.7g} grid points, "
+                          f"more than {_MAX_GRID_POINTS}")
     return {"grid": tuple(start + i * step for i in range(count))}
 
 

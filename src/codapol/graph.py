@@ -1,9 +1,10 @@
 """Fixed interaction graphs over which agents exchange actions.
 
 A graph is stored once, in compressed sparse row (CSR) form with read-only
-arrays (see :class:`Graph`), so it is immutable once built: the dynamics
-assume a fixed interaction structure, and immutability makes graphs safely
-shareable across concurrent simulations.
+arrays (see :class:`Graph`), except a complete graph, which is stored as its
+agent count and answers every query in closed form.  Either way it is
+immutable once built: the dynamics assume a fixed interaction structure, and
+immutability makes graphs safely shareable across concurrent simulations.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ def _check_count(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Interaction graph with per-agent in-neighborhoods, in CSR form.
@@ -34,9 +40,11 @@ class Graph:
     least one neighbor because the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
     No other module reads the CSR arrays: the run loop takes neighbor averages
-    from :meth:`neighbor_mean`, and the cluster analysis :meth:`count_equal`
-    and :meth:`components`.  A large, nearly regular graph also gets a padded
-    neighbor table for :meth:`neighbor_mean`, built on first use.
+    from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal`,
+    :meth:`components` and :attr:`degrees`, and the benchmark
+    :attr:`n_edges`.  A large, nearly regular graph also gets a padded
+    neighbor table for :meth:`neighbor_mean`, built on first use.  A complete
+    graph answers these five in closed form (see :func:`complete_graph`).
     """
 
     n_agents: int
@@ -47,9 +55,8 @@ class Graph:
     def __post_init__(self):
         n = self.n_agents
         _check_count("n_agents", n, 1)
-        indptr = np.array(self.indptr, dtype=np.int64)
-        indices = np.array(self.indices, dtype=np.int64)
-        indptr.flags.writeable = indices.flags.writeable = False
+        indptr = _read_only(np.array(self.indptr, dtype=np.int64))
+        indices = _read_only(np.array(self.indices, dtype=np.int64))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         if indices.ndim != 1 or indptr.shape != (n + 1,) or indptr[0] != 0 \
@@ -80,9 +87,7 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """In-degree n_i of every agent (read-only)."""
-        degrees = self.indptr[1:] - self.indptr[:-1]
-        degrees.flags.writeable = False
-        return degrees
+        return _read_only(self.indptr[1:] - self.indptr[:-1])
 
     def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
         """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike.
@@ -136,7 +141,7 @@ class Graph:
         than CSR: each row costs a numpy call, so rows need N >= 256 * d_max
         agents, and an empty slot costs as much as an edge, so at most one slot
         in nine may be empty.  A square lattice of side 32 or more qualifies;
-        any complete or sparse random graph keeps CSR.
+        a sparse random graph keeps CSR.
         """
         n, degrees = self.n_agents, self.degrees
         d_max = int(degrees.max())
@@ -145,8 +150,7 @@ class Graph:
         table = np.full((d_max, n), n, dtype=np.int64)
         rows = np.repeat(np.arange(n), degrees)
         table[np.arange(self.n_edges) - self.indptr[rows], rows] = self.indices
-        table.flags.writeable = False
-        return table
+        return _read_only(table)
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
@@ -176,14 +180,75 @@ def _from_edges(n: int, src: np.ndarray, dst: np.ndarray, directed: bool) -> Gra
     return Graph(n_agents=n, indptr=indptr, indices=indices, directed=directed)
 
 
+class _CompleteGraph(Graph):
+    """The all-to-all graph on ``n_agents`` agents, held as its agent count.
+
+    Every agent hears the other n - 1, so each query has a closed form in
+    O(n): the neighbor mean is (S - q) / (n - 1) with S the sum of a row of
+    actions, and the agents sharing a label form one group, found by one
+    stable sort.  Sums of +-1 actions are exact integers, so the mean has the
+    bits of the CSR sums.  ``indptr`` and ``indices`` are built, read-only, on
+    first read; no query reads them.
+    """
+
+    def __init__(self, n_agents: int):
+        object.__setattr__(self, "n_agents", n_agents)
+
+    def __repr__(self) -> str:  # the dataclass repr would build both arrays
+        return f"complete_graph({self.n_agents})"
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return _read_only(np.arange(self.n_agents + 1, dtype=np.int64) * (self.n_agents - 1))
+
+    @cached_property
+    def indices(self) -> np.ndarray:  # row by row, ascending
+        return _read_only(np.nonzero(~np.eye(self.n_agents, dtype=bool))[1])
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return _read_only(np.full(self.n_agents, self.n_agents - 1, dtype=np.int64))
+
+    @property
+    def n_edges(self) -> int:
+        return self.n_agents * (self.n_agents - 1)
+
+    def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
+        return (q.sum(axis=-1, keepdims=True) - q) / (self.n_agents - 1)
+
+    def count_equal(self, labels: np.ndarray) -> np.ndarray:
+        order, starts, sizes = self._label_groups(labels)
+        counts = np.empty(self.n_agents, dtype=np.int64)
+        counts[order] = np.repeat(sizes - 1, sizes)
+        return counts
+
+    def components(self, labels: np.ndarray) -> np.ndarray:
+        order, starts, sizes = self._label_groups(labels)
+        roots = np.empty(self.n_agents, dtype=np.int64)
+        roots[order] = np.repeat(order[starts], sizes)
+        return roots
+
+    @staticmethod
+    def _label_groups(labels: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Agents in stable label order, and where each label group starts and its size.
+
+        Groups are runs of equal labels, and every NaN is a group of its own,
+        as ``==`` between neighbors has it; the first agent of a group is its
+        smallest.
+        """
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        return order, starts, np.diff(starts, append=labels.size)
+
+
 def complete_graph(n: int) -> Graph:
-    """All-to-all undirected graph on ``n`` agents.
+    """All-to-all undirected graph on ``n`` agents, stored without edges.
 
     Requires n >= 2 so that every agent has a neighbor.
     """
     _check_count("n", n, 2)
-    src, dst = np.nonzero(np.tri(n, k=-1, dtype=bool))  # every pair src > dst
-    return _from_edges(n, src, dst, directed=False)
+    return _CompleteGraph(n)
 
 
 def square_lattice(side: int) -> Graph:
@@ -193,10 +258,15 @@ def square_lattice(side: int) -> Graph:
     Agent (r, c) has index ``r * side + c``.
     """
     _check_count("side", side, 2)
-    idx = np.arange(side * side).reshape(side, side)
-    src = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
-    dst = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
-    return _from_edges(side * side, src, dst, directed=False)
+    agent = np.arange(side * side).reshape(side, side)
+    # up, left, right and down are each agent's in-neighbors in ascending order,
+    # so the present ones, row by row, are the CSR indices
+    table = np.stack((agent - side, agent - 1, agent + 1, agent + side), axis=-1)
+    present = np.ones((side, side, 4), dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 2] = present[-1, :, 3] = False
+    indptr = np.zeros(side * side + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=-1), out=indptr[1:])
+    return Graph(n_agents=side * side, indptr=indptr, indices=table[present])
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:

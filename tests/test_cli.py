@@ -13,7 +13,7 @@ import pytest
 from codapol.analysis import classify_states
 from codapol.cli import main
 from codapol.dynamics import ModelParams, fs_initial_state, random_opinions, simulate
-from codapol.graph import complete_graph
+from codapol.graph import GraphSpec, complete_graph
 
 BASE_SECTIONS = """
 [graph]
@@ -451,6 +451,65 @@ class TestModuleEntryPoint:
             child.kill()
             child.wait()
         assert not (out / "manifest.txt").exists()
+
+
+class TestOversizedGrid:
+    # Built before it is counted, such a grid fills memory.  The child's address
+    # space is capped, so that regression fails here, in parse_config, instead of
+    # allocating until the host runs out.
+    @pytest.mark.parametrize("grid_lines, message", [
+        ("grid_start = 0.5\ngrid_stop = 1e20\ngrid_step = 0.05",
+         "grid_step 0.05 gives 2e+21 grid points, more than 1000000"),
+        ("grid_start = 0.5\ngrid_stop = 0.9\ngrid_step = 1e-300",
+         "grid_step 1e-300 gives 4e+299 grid points, more than 1000000"),
+    ], ids=["stop-1e20", "step-1e-300"])
+    def test_rejected_before_it_is_built(self, tmp_path, grid_lines, message):
+        cfg = write_config(tmp_path, ("sweep", f"\n[sweep]\nparam = beta\n{grid_lines}\n"
+                                               "transient = 10\ntail = 8\n"), tmp_path / "out")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+                "from pathlib import Path\n"
+                "from codapol.cli import main\n"
+                "from codapol.config import ConfigError, parse_config\n"
+                "try:\n"
+                "    parse_config(Path(sys.argv[1]).read_text())\n"
+                "except ConfigError as exc:\n"
+                "    print(exc)\n"
+                "sys.exit(main(['--config', sys.argv[1]]))\n")
+        done = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True,
+                              text=True, env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, message + "\n",
+                                                               f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestCompleteGraphAtScale:
+    def test_random_start_clusters_on_1e5_agents_build_no_edges(self, tmp_path, monkeypatch):
+        # 10^10 directed edges, which a CSR graph would have to store
+        built, build = [], GraphSpec.build
+        monkeypatch.setattr(GraphSpec, "build", lambda spec: built.append(build(spec)) or built[0])
+        n, beta, out = 10**5, 0.45, tmp_path / "out"
+        sections = BASE_SECTIONS.replace("n = 20", f"n = {n}").replace(
+            "kind = fs\ntheta0 = 0.4", "kind = random")
+        cfg = write_config(tmp_path, ("clusters", "\n[simulate]\nsteps = 40\n"), out,
+                           sections=sections)
+        assert main(["--config", str(cfg), "--quiet"]) == 0
+        (graph,) = built
+        assert graph.n_agents == n and not {"indptr", "indices"} & vars(graph).keys()
+        header, *rows = (out / "clusters.csv").read_text().splitlines()
+        assert header == "cluster_id,size,action,weak,strong,worst_slack" and rows
+        # a same-action cluster of k agents: each member has k - 1 of its n - 1 neighbors inside
+        margin = beta / (1.0 - beta) * (n - 1)
+        seen = set()
+        for cluster_id, row in enumerate(rows):
+            k, action, weak, strong, slack = row.split(",")[1:]
+            k, action = int(k), int(action)
+            assert action not in seen  # all agents of one action are one component
+            seen.add(action)
+            balance = (k - 1) - (n - k)
+            assert row == (f"{cluster_id},{k},{action},{int(balance + margin >= 0.0)},"
+                           f"{int(balance - margin >= 0.0)},{balance - margin:.17g}")
 
 
 class TestExperimentDocuments:

@@ -244,6 +244,14 @@ class TestGrid:
         with pytest.raises(ConfigError, match=match):
             parse_config(sweep_text(grid_lines))
 
+    def test_range_of_at_most_a_million_points(self):
+        text = sweep_text("grid_start = 1\ngrid_stop = 1000000\ngrid_step = 1").replace(
+            "param = beta", "param = p_bar")
+        assert len(parse_config(text).grid) == 10**6
+        with pytest.raises(ConfigError, match="^grid_step 1.0 gives 1000001 grid points, "
+                                              "more than 1000000$"):
+            parse_config(text.replace("grid_stop = 1000000", "grid_stop = 1000001"))
+
     def test_gallery_betas_keep_any_order(self):
         text = sweep_text("").replace("command = sweep", "command = gallery").replace(
             "[sweep]\nparam = beta\n\ntransient", "[gallery]\nbetas = 0.999,0.45,0.45\ntransient")

@@ -121,6 +121,27 @@ class TestCompleteGraph:
         with pytest.raises(ValueError):
             complete_graph(1)
 
+    @given(n=st.integers(2, 60), points=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_forms_match_csr(self, n, points, seed):
+        g, csr = complete_graph(n), Graph(n, *csr_of(complete_graph_neighbors(n)))
+        assert g.n_edges == n * (n - 1) and repr(g) == f"complete_graph({n})"
+        rng = np.random.default_rng(seed)
+        q = rng.choice([-1, 1], size=(points, n)).astype(np.int64)
+        for actions in (q, q[0]):
+            assert g.neighbor_mean(actions).tobytes() == csr.neighbor_mean(actions).tobytes()
+        # NaN equals no label, so each NaN agent is alone; -0.0 == 0.0
+        for labels in (rng.integers(-1, 2, n), rng.random(n) < 0.5,
+                       rng.choice([0.0, -0.0, 1.5, np.nan], n)):
+            for query in ("count_equal", "components"):
+                got, want = getattr(g, query)(labels), getattr(csr, query)(labels)
+                assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+        assert not {"indptr", "indices"} & vars(g).keys()  # no query has built them
+        for name in ("degrees", "indptr", "indices"):
+            got, want = getattr(g, name), getattr(csr, name)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert not got.flags.writeable
+
 
 class TestSquareLattice:
     def test_fifty_by_fifty(self):

@@ -339,15 +339,19 @@ def assert_single_runs_match_loop(s0, graph, params, n_steps):
 
 
 def neighbor_mean_calls(monkeypatch):
-    """Record each ``Graph.neighbor_mean`` call; the FS quotient makes none."""
+    """Record each ``neighbor_mean`` call on any graph; the FS quotient makes none.
+
+    A complete graph is a ``Graph`` subclass with its own ``neighbor_mean``, so
+    every class that defines one is patched.
+    """
     calls = []
-    original = Graph.neighbor_mean
+    for cls in (Graph, *Graph.__subclasses__()):
+        if "neighbor_mean" in vars(cls):
+            def counted(self, q, original=cls.neighbor_mean):
+                calls.append(q.shape)
+                return original(self, q)
 
-    def counted(self, q):
-        calls.append(q.shape)
-        return original(self, q)
-
-    monkeypatch.setattr(Graph, "neighbor_mean", counted)
+            monkeypatch.setattr(cls, "neighbor_mean", counted)
     return calls
 
 
