@@ -12,7 +12,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ModelParams, Trajectory, _check_count, _field, _total_emission, _write_csv
+from .dynamics import (ModelParams, Trajectory, _check_beta, _check_count, _field, _total_emission,
+                       _write_csv)
 from .graph import Graph
 
 
@@ -94,8 +95,7 @@ def predicted_opinion_limit(n_i_plus_star: int, n_i: int, q_p_star: int, beta: f
         raise ValueError(f"n_i_plus_star must be at most n_i = {n_i}, got {n_i_plus_star}")
     if isinstance(q_p_star, bool) or q_p_star not in (-1, 1):
         raise ValueError(f"q_p_star must be -1 or 1, got {q_p_star!r}")
-    if not 0.0 <= beta <= 1.0:  # NaN fails
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     return _field((2 * n_i_plus_star - n_i) / n_i, q_p_star, beta)
 
 
@@ -213,8 +213,7 @@ def certify_cluster(members, graph: Graph, actions_at_0, beta: float) -> Cluster
     mem = np.flatnonzero(in_cluster)
     if not mem.size:
         raise ValueError("cluster must be nonempty")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     actions = _actions(actions_at_0, graph)
     if (actions[mem] != actions[mem[0]]).any():
         return ClusterReport(
@@ -259,8 +258,7 @@ def find_preserved_clusters(trajectory: Trajectory, graph: Graph, beta: float) -
         raise ValueError(
             f"graph has {graph.n_agents} agents, trajectory has {trajectory.n_agents}"
         )
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     acts = trajectory.actions
     constant = (acts == acts[0]).all(axis=0)
     labels = np.where(constant, acts[0], np.nan)  # NaN equals no label

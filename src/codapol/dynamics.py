@@ -21,6 +21,11 @@ import numpy as np
 from .graph import Graph, _check_count
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:  # NaN fails
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar knobs of the coupled dynamics.
@@ -39,8 +44,7 @@ class ModelParams:
     p_bar: float
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        _check_beta(self.beta)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         for name in ("e_min", "e_max", "p_bar"):

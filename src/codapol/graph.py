@@ -1,14 +1,15 @@
 """Fixed interaction graphs over which agents exchange actions.
 
 A graph is stored once, in compressed sparse row (CSR) form with read-only
-arrays (see :class:`Graph`), except a complete graph, which is stored as its
-agent count and answers every query in closed form.  Either way it is
-immutable once built: the dynamics assume a fixed interaction structure, and
-immutability makes graphs safely shareable across concurrent simulations.
+arrays (see :class:`Graph`); a complete graph is stored as its agent count
+and answers every query in closed form, and a square lattice sums neighbors
+by a stencil.  Graphs are immutable: the dynamics assume a fixed interaction
+structure, and immutability makes graphs safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,15 +37,15 @@ class Graph:
 
     ``indices[indptr[i]:indptr[i + 1]]`` lists the agents that influence
     agent i, strictly ascending for reproducible iteration order.  Both
-    arrays are stored as read-only int64 copies.  Every agent must have at
-    least one neighbor because the opinion update divides by the
+    arrays must hold integers; they are stored as read-only int64 copies.
+    Every agent needs a neighbor, as the opinion update divides by the
     neighborhood size; an undirected graph lists every pair both ways.
     No other module reads the CSR arrays: the run loop takes neighbor averages
     from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal`,
     :meth:`components` and :attr:`degrees`, and the benchmark
-    :attr:`n_edges`.  A large, nearly regular graph also gets a padded
-    neighbor table for :meth:`neighbor_mean`, built on first use.  A complete
-    graph answers these five in closed form (see :func:`complete_graph`).
+    :attr:`n_edges`.  A square lattice takes :meth:`neighbor_mean` by a
+    stencil (see :func:`square_lattice`), and a complete graph answers all
+    five in closed form (see :func:`complete_graph`).
     """
 
     n_agents: int
@@ -55,10 +56,12 @@ class Graph:
     def __post_init__(self):
         n = self.n_agents
         _check_count("n_agents", n, 1)
-        indptr = _read_only(np.array(self.indptr, dtype=np.int64))
-        indices = _read_only(np.array(self.indices, dtype=np.int64))
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
+        for name in ("indptr", "indices"):  # a float or a bool raises, not truncates
+            array = np.asarray(getattr(self, name))
+            if array.size and array.dtype.kind not in "iu":  # an empty list reads as float64
+                raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+            object.__setattr__(self, name, _read_only(array.astype(np.int64)))
+        indptr, indices = self.indptr, self.indices
         if indices.ndim != 1 or indptr.shape != (n + 1,) or indptr[0] != 0 \
                 or indptr[-1] != indices.size:
             raise ValueError(f"indptr must hold {n + 1} offsets from 0 to {indices.size}")
@@ -90,23 +93,8 @@ class Graph:
         return _read_only(self.indptr[1:] - self.indptr[:-1])
 
     def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
-        """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike.
-
-        With a neighbor table (see :attr:`_table`) it adds the table's rows;
-        otherwise it sums each agent's CSR run with ``reduceat``.  Sums of +-1
-        actions are exact integers, so both give the same bits.
-        """
-        table = self._table
-        if table is None:
-            gathered = q[self.indices] if q.ndim == 1 else q[:, self.indices]
-            return np.add.reduceat(gathered, self._row_starts, axis=-1) / self.degrees
-        padded = np.zeros(q.shape[:-1] + (self.n_agents + 1,))  # empty table slots read a 0
-        padded[..., :-1] = q
-        total = padded.take(table[0], axis=-1)
-        for row in table[1:]:
-            total += padded.take(row, axis=-1)
-        total /= self.degrees
-        return total
+        """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike."""
+        return np.add.reduceat(q[..., self.indices], self._row_starts, axis=-1) / self.degrees
 
     def count_equal(self, labels: np.ndarray) -> np.ndarray:
         """For each agent, how many of its in-neighbors share its entry of ``labels``."""
@@ -131,26 +119,6 @@ class Graph:
                 root = root[root]
             a, b = a[ra != rb], b[ra != rb]  # an edge inside one tree stays inside
         return root
-
-    @cached_property
-    def _table(self) -> np.ndarray | None:
-        """Padded [d_max, N] in-neighbor table (ELLPACK: Rice & Boisvert, 1985), or None.
-
-        Row r holds each agent's r-th in-neighbor, or N where it has fewer than
-        r + 1.  Built on first use, and only where it is measured to be faster
-        than CSR: each row costs a numpy call, so rows need N >= 256 * d_max
-        agents, and an empty slot costs as much as an edge, so at most one slot
-        in nine may be empty.  A square lattice of side 32 or more qualifies;
-        a sparse random graph keeps CSR.
-        """
-        n, degrees = self.n_agents, self.degrees
-        d_max = int(degrees.max())
-        if n < 256 * d_max or 8 * d_max * n > 9 * self.n_edges:
-            return None
-        table = np.full((d_max, n), n, dtype=np.int64)
-        rows = np.repeat(np.arange(n), degrees)
-        table[np.arange(self.n_edges) - self.indptr[rows], rows] = self.indices
-        return _read_only(table)
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
@@ -251,6 +219,22 @@ def complete_graph(n: int) -> Graph:
     return _CompleteGraph(n)
 
 
+class _SquareLattice(Graph):
+    """Square lattice whose neighbor sums add four shifted views of the zero-padded grid.
+
+    Sums of +-1 actions are exact integers, so the means have the bits of CSR's.
+    """
+
+    def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
+        side = math.isqrt(self.n_agents)
+        grid = np.zeros(q.shape[:-1] + (side + 2, side + 2), dtype=np.int64)
+        grid[..., 1:-1, 1:-1] = q.reshape(q.shape[:-1] + (side, side))
+        total = grid[..., :-2, 1:-1] + grid[..., 2:, 1:-1]
+        total += grid[..., 1:-1, :-2]
+        total += grid[..., 1:-1, 2:]
+        return (total / self.degrees.reshape(side, side)).reshape(q.shape)
+
+
 def square_lattice(side: int) -> Graph:
     """side x side grid, 4-neighborhood (up/down/left/right), no wraparound.
 
@@ -266,7 +250,7 @@ def square_lattice(side: int) -> Graph:
     present[0, :, 0] = present[:, 0, 1] = present[:, -1, 2] = present[-1, :, 3] = False
     indptr = np.zeros(side * side + 1, dtype=np.int64)
     np.cumsum(present.sum(axis=-1), out=indptr[1:])
-    return Graph(n_agents=side * side, indptr=indptr, indices=table[present])
+    return _SquareLattice(n_agents=side * side, indptr=indptr, indices=table[present])
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:

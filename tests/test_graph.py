@@ -270,6 +270,15 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="indptr must hold 3 offsets from 0 to 2"):
             Graph(n_agents=2, indptr=indptr, indices=[1, 0], directed=False)
 
+    @pytest.mark.parametrize("indptr, indices, name", [
+        ([0, 1.7, 2], [1, 0], "indptr"),  # would truncate to [0, 1, 2]
+        ([0, 1, 2], [1.9, 0.2], "indices"),  # would truncate to [1, 0]
+        ([0, 1, 2], [True, False], "indices"),
+    ])
+    def test_non_integer_csr_rejected(self, indptr, indices, name):
+        with pytest.raises(ValueError, match=f"{name} must hold integers, got dtype"):
+            Graph(n_agents=2, indptr=indptr, indices=indices)
+
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="n_agents must be positive, got 0"):
             Graph(n_agents=0, indptr=[0], indices=[])
@@ -307,9 +316,6 @@ class TestNeighborMean:
                 assert np.array(fields).tobytes() == ((1.0 - beta) * mean + beta * q_p).tobytes()
 
 
-class TestNeighborTable:
-    """``neighbor_mean`` reads a padded table on large, nearly regular graphs and CSR on the rest."""
-
     @given(data=st.data(), kind=st.sampled_from(["random", "lattice", "directed"]),
            points=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -318,9 +324,9 @@ class TestNeighborTable:
         if kind == "random":
             g = random_graph(data.draw(st.integers(2, 40)), data.draw(st.floats(0.02, 1.0)),
                              data.draw(st.integers(0, 2**32 - 1)))
-        elif kind == "lattice":  # side 32 or more takes the table
+        elif kind == "lattice":  # the stencil, corners and borders included
             g = square_lattice(data.draw(st.integers(2, 40)))
-        else:  # k in-neighbors each (a table from 256 k agents), plus a few extra edges
+        else:  # k in-neighbors each, plus a few extra edges
             n = data.draw(st.integers(2, 1100))
             k = data.draw(st.integers(1, min(4, n - 1)))
             pairs = [((dst + off) % n, dst) for dst in range(n)
@@ -338,32 +344,21 @@ class TestNeighborTable:
         for row, mean in zip(q.reshape(-1, n), got.reshape(-1, n)):
             loop = [sum(int(row[j]) for j in nbrs) / len(nbrs) for nbrs in table]
             assert np.array(loop).tobytes() == mean.tobytes()
-        if g._table is not None:  # column i: agent i's in-neighbors, then the empty slot n
-            assert [tuple(j for j in col if j != n) for col in g._table.T.tolist()] == list(table)
 
-    def test_layout_follows_the_graph_shape(self):
-        # The boundary is where the table measured faster than CSR at one point:
-        # a directed ring of d in-neighbors read 0.82-1.13x CSR's time at N = 128 d
-        # and 0.74-0.94x at N = 256 d (d = 1 to 64); a lattice, 1.19x at side 16
-        # and 0.78x at side 32.
-        lattice = square_lattice(32)  # 4 * 1024 slots, 124 of them empty
-        assert "_table" not in vars(lattice)  # built on first use, not with the graph
-        assert lattice._table.shape == (4, 1024) and not lattice._table.flags.writeable
-        assert square_lattice(31)._table is None  # 961 < 256 * 4 agents
-        def ring(n, extra=""):  # agent i hears agent i + 1
-            return parse_edge_list(f"N {n} directed=1\n{extra}" + "".join(
-                f"{(i + 1) % n} {i}\n" for i in range(n)))
+    @pytest.mark.parametrize("points", [0, 3])
+    def test_large_lattice_stencil_matches_csr(self, points):
+        lattice = square_lattice(300)
+        csr = Graph(lattice.n_agents, lattice.indptr, lattice.indices)
+        shape = (points, lattice.n_agents) if points else (lattice.n_agents,)
+        q = np.random.default_rng(points).choice([-1, 1], size=shape).astype(np.int64)
+        got = lattice.neighbor_mean(q)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == csr.neighbor_mean(q).tobytes()
 
-        assert ring(256)._table.shape == (1, 256)
-        assert ring(255)._table is None
-        assert complete_graph(300)._table is None  # 300 < 256 * 299
+    def test_star_graph_mean(self):
         star = parse_edge_list("N 12 directed=0\n" + "".join(f"0 {i}\n" for i in range(1, 12)))
-        assert star._table is None
         q = np.array([1, -1] * 6, dtype=np.int64)
         assert star.neighbor_mean(q).tolist() == [-1 / 11] + [1.0] * 11
-        # one agent of 1024 with a second in-neighbor: 1025 of 2048 slots full
-        assert ring(1024, extra="2 0\n")._table is None
-        assert ring(1024)._table.shape == (1, 1024)
 
 
 def serpentine_labels(side):

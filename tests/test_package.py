@@ -9,6 +9,7 @@ import codapol
 from codapol.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "codapol"
 
 
 def test_all_exports_only_classes_and_functions():
@@ -51,3 +52,17 @@ def test_readme_quick_start_config_runs(tmp_path):
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.txt", *listed])
     assert listed == ["trajectory.csv", "clusters.csv"]
+
+
+def test_only_graph_module_reads_csr_arrays():
+    # other modules reach the edges only through Graph's queries: a complete
+    # graph answers them all without CSR, building its n (n - 1) entries only
+    # when they are read, and a lattice's neighbor_mean reads no CSR
+    readers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []
