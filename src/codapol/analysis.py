@@ -309,7 +309,7 @@ def fs_escape_bound(beta: float) -> int:
 
 def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEFAULT_TOL,
                     max_period: int = DEFAULT_MAX_PERIOD) -> AttractorClass:
-    """Classify a post-transient tail given stacked state arrays.
+    """Classify a post-transient tail: opinions [T] or [T, N], pollutions [T].
 
     Scans candidate periods in increasing order, so a reported cycle period
     is minimal.  Period 1 (all consecutive states within ``tol`` in max
@@ -327,6 +327,9 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
         raise ValueError(f"tol must be finite and positive, got {tol}")
     thetas = np.asarray(thetas, dtype=np.float64)
     pollutions = np.asarray(pollutions, dtype=np.float64)
+    if thetas.ndim not in (1, 2) or pollutions.shape != thetas.shape[:1]:
+        raise ValueError(f"thetas of shape {thetas.shape} and pollutions of shape "
+                         f"{pollutions.shape} are not a [T] or [T, N] and a [T] tail")
     n_tail = thetas.shape[0]
     if n_tail < 2 * max_period:
         raise InsufficientDataError(

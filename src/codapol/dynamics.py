@@ -21,6 +21,15 @@ import numpy as np
 from .graph import Graph, _check_count
 
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _check_number(name: str, value) -> None:
+    """Reject a value that is not a Python or numpy int or float; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+        raise ValueError(f"{name} must be an int or a float, got {value!r}")
+
+
 def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:  # NaN fails
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -44,6 +53,8 @@ class ModelParams:
     p_bar: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _check_number(name, value)
         _check_beta(self.beta)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
@@ -135,6 +146,9 @@ class Trajectory:
 # Fields per writer block (at least one line), and values per % call.  Freed
 # block temporaries stay resident (glibc): after the 499-row bifurcation.csv of
 # perfbench's fs-sweep, 2.5 MB at 2**14, 5 MB at 2**15, and 2**13 was slower.
+# One % call per block gave the same bytes and time, but perfbench big-lattice's
+# peak RSS rose 60.41 -> 60.59 MB in 10 of 10 alternating pairs (2 cores,
+# Python 3.11, numpy 2.4); an unused 4-line function moved lattice's by 0.3 MB.
 _BLOCK_FIELDS = 2**14
 _FORMAT_BATCH = 4096
 
@@ -551,7 +565,7 @@ def simulate(initial: SimState, graph: Graph, params: ModelParams,
     _check_count("stride", stride, 1)
     _check_initial(initial.opinions, initial.pollution, (params.p_bar,), allow_boundary)
 
-    record_ticks = sorted({*range(0, n_steps, stride), n_steps})
+    record_ticks = [*range(0, n_steps, stride), n_steps]
     thetas, ps, qs, qps = _run(initial, graph, vars(params), record_ticks)
     return Trajectory(
         recording_stride=stride,

@@ -58,6 +58,10 @@ class Graph:
         _check_count("n_agents", n, 1)
         for name in ("indptr", "indices"):  # a float or a bool raises, not truncates
             array = np.asarray(getattr(self, name))
+            if array.dtype.kind in "uO":  # past int64, a uint64 wraps and an int reads as object
+                for v in array.ravel().tolist():
+                    if type(v) is int and not -2**63 <= v < 2**63:
+                        raise ValueError(f"{name} holds {v}, outside the int64 range")
             if array.size and array.dtype.kind not in "iu":  # an empty list reads as float64
                 raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
             object.__setattr__(self, name, _read_only(array.astype(np.int64)))
@@ -139,9 +143,8 @@ def _from_edges(n: int, src: np.ndarray, dst: np.ndarray, directed: bool) -> Gra
     """
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    # one key per pair, ordered by row (dst) and then by neighbor (src)
-    keys = np.sort(dst * n + src)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    # one key per distinct pair, ordered by row (dst) and then by neighbor (src)
+    keys = np.unique(dst * n + src)
     rows, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -154,9 +157,10 @@ class _CompleteGraph(Graph):
     Every agent hears the other n - 1, so each query has a closed form in
     O(n): the neighbor mean is (S - q) / (n - 1) with S the sum of a row of
     actions, and the agents sharing a label form one group, found by one
-    stable sort.  Sums of +-1 actions are exact integers, so the mean has the
-    bits of the CSR sums.  ``indptr`` and ``indices`` are built, read-only, on
-    first read; no query reads them.
+    ``np.unique`` call; ``equal_nan=False`` leaves each NaN alone, as ``==``
+    between neighbors does.  Sums of +-1 actions are exact integers, so the
+    mean has the bits of the CSR sums.  ``indptr`` and ``indices`` are built,
+    read-only, on first read; no query reads them.
     """
 
     def __init__(self, n_agents: int):
@@ -185,29 +189,14 @@ class _CompleteGraph(Graph):
         return (q.sum(axis=-1, keepdims=True) - q) / (self.n_agents - 1)
 
     def count_equal(self, labels: np.ndarray) -> np.ndarray:
-        order, starts, sizes = self._label_groups(labels)
-        counts = np.empty(self.n_agents, dtype=np.int64)
-        counts[order] = np.repeat(sizes - 1, sizes)
-        return counts
+        _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True,
+                                    equal_nan=False)
+        return sizes[group] - 1
 
     def components(self, labels: np.ndarray) -> np.ndarray:
-        order, starts, sizes = self._label_groups(labels)
-        roots = np.empty(self.n_agents, dtype=np.int64)
-        roots[order] = np.repeat(order[starts], sizes)
-        return roots
-
-    @staticmethod
-    def _label_groups(labels: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Agents in stable label order, and where each label group starts and its size.
-
-        Groups are runs of equal labels, and every NaN is a group of its own,
-        as ``==`` between neighbors has it; the first agent of a group is its
-        smallest.
-        """
-        order = np.argsort(labels, kind="stable")
-        ordered = labels[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        return order, starts, np.diff(starts, append=labels.size)
+        _, first, group = np.unique(labels, return_index=True, return_inverse=True,
+                                    equal_nan=False)
+        return first[group]
 
 
 def complete_graph(n: int) -> Graph:

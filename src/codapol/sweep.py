@@ -30,8 +30,8 @@ import numpy as np
 
 from .analysis import DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, class_period, classify_states
 from .dynamics import (_BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_count, _check_initial,
-                       _check_seed, _run, _write_csv, initial_state, quantize_opinion,
-                       random_opinions, simulate)
+                       _check_number, _check_seed, _run, _write_csv, initial_state,
+                       quantize_opinion, random_opinions, simulate)
 from .graph import GraphSpec
 
 
@@ -60,9 +60,10 @@ class InitSpec:
         for name in _INIT_KINDS[self.kind]:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.kind} init spec needs {name}")
-        for name in ("theta0", "p0"):
+        for name in ("theta0", "p0") if self.theta0 is not None else ("p0",):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            _check_number(name, value)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
     def opinions(self, n_agents: int, seed: int) -> np.ndarray:

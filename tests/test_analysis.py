@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -779,6 +781,35 @@ class TestClassifyAttractor:
     def test_insufficient_tail_rejected(self):
         with pytest.raises(InsufficientDataError):
             classify_states(np.full((30, 1), 0.1), np.ones(30), tol=1e-9, max_period=16)
+
+    @pytest.mark.parametrize("theta_shape, pollution_shape", [
+        ((600, 3), (600, 2)),  # the second pollution column once read as two more agents
+        ((600, 3), (500,)),
+        ((600,), (600, 1)),
+        ((600, 3, 1), (600,)),
+        ((), (600,)),
+    ])
+    def test_disagreeing_shapes_rejected(self, theta_shape, pollution_shape):
+        rng = np.random.default_rng(0)
+        match = re.escape(f"thetas of shape {theta_shape} and pollutions of shape "
+                          f"{pollution_shape} are not a [T] or [T, N] and a [T] tail")
+        for make in (rng.random, np.zeros):  # a random tail and a fixed point
+            with pytest.raises(ValueError, match=match):
+                classify_states(make(theta_shape), make(pollution_shape), max_period=8)
+
+    def test_one_agent_and_broadcast_tails_accepted(self):
+        column = np.full(40, 0.3)
+        assert classify_states(column, np.full(40, 5.0), max_period=16).p_star == 5.0
+        # a fully synchronized tail broadcasts one column (stride 0), and stays uncopied
+        thetas = np.broadcast_to(column[:, None], (40, 10**6))
+        tracemalloc.start()
+        try:
+            out = classify_states(thetas, np.full(40, 5.0), max_period=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.theta_star.shape == (10**6,) and out.theta_star.strides == (0,)
+        assert peak < 10**5  # one copied row alone is 8 MB
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_tol_rejected(self, tol):

@@ -92,6 +92,19 @@ class TestModelParams:
         with pytest.raises(ValueError, match=field):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["beta", "gamma", "e_min", "e_max", "p_bar"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5", None, 0.5j])
+    def test_non_numbers_rejected(self, field, value):
+        kwargs = dict(beta=0.5, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an int or a float, got "):
+            ModelParams(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        params = ModelParams(beta=np.float32(0.5), gamma=np.float64(0.5), e_min=np.int8(0),
+                             e_max=1, p_bar=np.uint64(15))
+        assert params.p_bar == 15
+
     def test_boundary_betas_allowed(self):
         ModelParams(beta=0.0, gamma=0.5, e_min=0, e_max=1, p_bar=0)
         ModelParams(beta=1.0, gamma=0.5, e_min=0, e_max=0, p_bar=0)

@@ -274,10 +274,26 @@ class TestGraphValidation:
         ([0, 1.7, 2], [1, 0], "indptr"),  # would truncate to [0, 1, 2]
         ([0, 1, 2], [1.9, 0.2], "indices"),  # would truncate to [1, 0]
         ([0, 1, 2], [True, False], "indices"),
+        ([0, 1, 2], np.array([1, 0], dtype=object), "indices"),  # ints in range, as objects
     ])
     def test_non_integer_csr_rejected(self, indptr, indices, name):
         with pytest.raises(ValueError, match=f"{name} must hold integers, got dtype"):
             Graph(n_agents=2, indptr=indptr, indices=indices)
+
+    @pytest.mark.parametrize("indptr, indices, name, value", [
+        ([0, 1, 2], np.array([2**64 - 1, 0], dtype=np.uint64), "indices", 2**64 - 1),
+        (np.array([0, 2**63, 2], dtype=np.uint64), [1, 0], "indptr", 2**63),
+        ([0, 1, 2], [2**70, 0], "indices", 2**70),
+        ([0, 1, 2], [1, -2**63 - 1], "indices", -2**63 - 1),
+    ])
+    def test_indices_beyond_int64_rejected(self, indptr, indices, name, value):
+        # a uint64 past int64 once wrapped, and a wider int read as dtype object
+        with pytest.raises(ValueError, match=f"^{name} holds {value}, outside the int64 range$"):
+            Graph(n_agents=2, indptr=indptr, indices=indices)
+
+    def test_unsigned_csr_in_range_accepted(self):
+        g = Graph(2, np.array([0, 1, 2], dtype=np.uint64), np.array([1, 0], dtype=np.uint8))
+        assert neighbors(g) == ((1,), (0,)) and g.indices.dtype == np.int64
 
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="n_agents must be positive, got 0"):

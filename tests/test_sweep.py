@@ -141,6 +141,19 @@ class TestInitSpecs:
         for seed in (0, 2**64 - 1):
             assert fs_spec([0.45], initial=InitSpec("random", p0=100.0), seed=seed).seed == seed
 
+    @pytest.mark.parametrize("name", ["p0", "theta0"])
+    @pytest.mark.parametrize("value", [True, np.False_, "1", 0.5j])
+    def test_fs_init_rejects_non_numbers(self, name, value):
+        fields = {"p0": 100.0, "theta0": 0.4, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an int or a float, got "):
+            InitSpec("fs", **fields)
+
+    def test_init_takes_ints_and_numpy_numbers(self):
+        assert InitSpec("fs", p0=np.int64(100), theta0=np.float32(0.5)).theta0 == 0.5
+        assert InitSpec("random", p0=100).theta0 is None
+        with pytest.raises(ValueError, match="^p0 must be an int or a float, got None$"):
+            InitSpec("random", p0=None)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown init kind 'sync'"):
             InitSpec("sync", p0=100.0, theta0=0.4)
