@@ -12,8 +12,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import (ModelParams, Trajectory, _check_beta, _check_count, _field, _total_emission,
-                       _write_csv)
+from .dynamics import (ModelParams, Trajectory, _check_beta, _check_count, _check_number, _field,
+                       _total_emission, _write_csv)
 from .graph import Graph
 
 
@@ -307,6 +307,13 @@ def fs_escape_bound(beta: float) -> int:
     return math.ceil(1.0 / (2.0 * beta - 1.0))
 
 
+def _check_tol(tol) -> None:
+    """Reject a ``tol`` that is not a finite positive number; a bool is not a number."""
+    _check_number("tol", tol)
+    if not 0 < tol < math.inf:  # NaN fails
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEFAULT_TOL,
                     max_period: int = DEFAULT_MAX_PERIOD) -> AttractorClass:
     """Classify a post-transient tail: opinions [T] or [T, N], pollutions [T].
@@ -323,8 +330,7 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
     same as checking every m; a NaN gap fails, as a NaN full check does.
     """
     _check_count("max_period", max_period, 1)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tol(tol)
     thetas = np.asarray(thetas, dtype=np.float64)
     pollutions = np.asarray(pollutions, dtype=np.float64)
     if thetas.ndim not in (1, 2) or pollutions.shape != thetas.shape[:1]:

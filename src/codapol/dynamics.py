@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -422,13 +421,16 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     and compares the [N] memories only while that count and q_p stay put,
     so a tick that changes the count costs no extra pass.
 
-    An FS tick depends only on (theta, p, q, q_p) and the params, so a state
-    with the same bits at ticks a and a + m repeats with period m from a on
-    (cycle detection as in Brent, BIT 20, 1980).  An FS run compares an
-    anchor at each power of two from ``_RECUR_FIRST`` on with each of the
-    next ``_RECUR_WINDOW`` ticks.  Once every point has recurred in one
-    window, it runs the longest period once more and fills the later
-    records by index, with the bits of a full run.
+    A tick depends only on (theta, p, q, q_p) and the params, the kept field
+    included, so a point whose state has the same bits at ticks a and a + m
+    repeats with period m from a on (cycle detection as in Brent, BIT 20,
+    1980).  Every run compares an anchor at each power of two from
+    ``_RECUR_FIRST`` on with each of the next ``_RECUR_WINDOW`` ticks, a
+    single point its float pollution first.  Once every point has recurred
+    in one window, the run advances to the states that later records read,
+    at most one period less a tick, and fills them in by index with the bits
+    of a full run.  Random starts recur too: a 20 x 20 lattice at beta 0.3
+    has period 20 from tick 255.
     """
     n = graph.n_agents
     if initial.n_agents != n:
@@ -505,11 +507,16 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     recs = [a.swapaxes(0, 1) for a in (thetas, ps, qs, qps)]  # [S, P, .]
     rec_theta, rec_p, rec_q, rec_qp = recs
 
-    # the anchor, the state at tick a (the first at 2 a = _RECUR_FIRST), and found[j],
-    # point j's period since a (0 while none); the next recurrence test is due at
-    # tick `due`, and the next test or stop poll at tick `check`
+    # each point's (theta, p, q, q_p) by bits, so -0.0 != 0.0: a bytes string at P = 1,
+    # an int64 row per point at P > 1
+    bits = (lambda s: b"".join([np.asarray(x).tobytes() for x in s])) if n_pts == 1 else (
+        lambda s: np.concatenate(s, axis=1).view(np.int64))
+
+    # the anchor, the pollution and bits of the state at tick a (the first at 2 a =
+    # _RECUR_FIRST), and found[j], point j's period since a (0 while none); the next
+    # recurrence test is due at tick `due`, and the next test or stop poll at tick `check`
     state, k, done = (theta, p, q, qp), 0, False
-    a, anchor, due = _RECUR_FIRST // 2, None, _RECUR_FIRST if fs else math.inf
+    a, anchor, due = _RECUR_FIRST // 2, None, _RECUR_FIRST
     poll = math.inf if stop is None else _POLL_TICKS
     check = min(due, poll)
     for rec, tick in enumerate(record_ticks):
@@ -520,32 +527,29 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
                 continue
             if stop is not None and stop.is_set():
                 raise KeyboardInterrupt("run stopped")
-            if k == due:  # compare bits, as -0.0 == 0.0
-                now = np.concatenate(state, axis=1).view(np.int64) if table else state
-                if anchor is not None and table:
-                    found[(now == anchor).all(axis=1) & (found == 0)] = k - a
+            if k == due:  # at P = 1 the float pollution first: a miss costs no array work
+                same = anchor is not None and (n_pts > 1 or state[1] == anchor[0]) and (
+                    bits(state) == anchor[1])  # False or True at P = 1, else [P, W]
+                if same is not False:
+                    found[np.reshape(same, (n_pts, -1)).all(axis=1) & (found == 0)] = k - a
                     done = found.all()
-                elif anchor is not None:
-                    found = k - a
-                    done = now == anchor and struct.pack("4d", *now) == struct.pack("4d", *anchor)
                 if done:
                     break
                 if k == 2 * a:
-                    a, anchor, found = k, now, np.zeros(n_pts, dtype=np.int64)
+                    a, anchor, found = k, (state[1], bits(state)), np.zeros(n_pts, dtype=np.int64)
                 due = k + 1 if k < a + _RECUR_WINDOW else 2 * a
             check = min(due, k + poll)
         if done:
             break
         rec_theta[rec], rec_p[rec], rec_q[rec], rec_qp[rec] = state
-    if done:  # record t >= k holds the state of tick k + (t - k) mod found[j]
-        found = np.reshape(found, -1)
-        cycle = [state]
-        for _ in range(found.max() - 1):
-            cycle.append(advance(cycle[-1], 1))
+    if done:  # record t >= k holds the state of tick k + (t - k) mod found[j]; keep only
+        # the states that some record reads, at most max(found) - 1 ticks on
         at = (np.asarray(record_ticks[rec:])[:, None] - k) % found
+        offsets, index = np.unique(at, return_inverse=True)
+        kept = [state := advance(state, d) for d in np.diff(offsets, prepend=0).tolist()]
         for i, out in enumerate(recs):
-            out[rec:] = np.array([s[i] for s in cycle]).reshape(len(cycle), n_pts, 1)[
-                at, np.arange(n_pts)]
+            out[rec:] = np.array([np.reshape(s[i], (n_pts, -1)) for s in kept])[
+                index.reshape(at.shape), np.arange(n_pts)]
     if table:  # back to -1/+1, in place
         qs -= 1
         qps *= 2

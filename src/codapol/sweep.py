@@ -11,9 +11,9 @@ regardless of chunking or thread count; the CLI ``classify`` command runs
 as a one-point sweep.  A fully synchronized start, on any graph, takes the
 loop's FS quotient: one column stands for all n agents, at O(P) per tick
 instead of O(P N), and is broadcast back, so a fixed point's ``theta_star``
-keeps length N and every CSV the same bytes.  An FS run stops once every
-point's state has recurred bit for bit, and fills the rest of its tail by
-index.
+keeps length N and every CSV the same bytes.  A run of any start stops once
+every point's state has recurred bit for bit, and fills the rest of its tail
+by index: a random-start 20 x 20 lattice at beta 0.3 has period 20 from tick 255.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, class_period, classify_states
+from .analysis import (DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, _check_tol, class_period,
+                       classify_states)
 from .dynamics import (_BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_count, _check_initial,
                        _check_number, _check_seed, _run, _write_csv, initial_state,
                        quantize_opinion, random_opinions, simulate)
@@ -109,6 +110,8 @@ class SweepSpec:
             raise ValueError(
                 f"swept_param must be one of {SWEEPABLE}, got {self.swept_param!r}"
             )
+        for v in self.grid:
+            _check_number(f"{self.swept_param} grid value", v)
         grid = tuple(float(v) for v in self.grid)
         object.__setattr__(self, "grid", grid)
         for a, b in zip(grid, grid[1:]):
@@ -118,8 +121,7 @@ class SweepSpec:
             self.params_at(v)  # each field's valid values form an interval
         for name, lo in (("transient", 0), ("tail", 1), ("max_period", 1)):
             _check_count(name, getattr(self, name), lo)
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_tol(self.tol)
         _check_seed(self.seed)
 
     def params_at(self, value: float) -> ModelParams:
@@ -205,6 +207,8 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
     parameters from ``base``) and classifies the tail.  Every beta is
     checked, as a ``ModelParams`` field, before the first run.
     """
+    for b in betas:
+        _check_number("beta", b)
     points = [(b, replace(base.base_params, beta=float(b))) for b in betas]
     graph = base.graph_spec.build()
     opinions0 = base.initial.opinions(graph.n_agents, base.seed)

@@ -811,7 +811,7 @@ class TestClassifyAttractor:
         assert out.theta_star.shape == (10**6,) and out.theta_star.strides == (0,)
         assert peak < 10**5  # one copied row alone is 8 MB
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True, "1e-9"])
     def test_bad_tol_rejected(self, tol):
         thetas = np.full((40, 2), 0.3)
         with pytest.raises(ValueError, match="tol"):

@@ -89,10 +89,23 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="gamma"):
             fs_spec([0.5, 1.0], swept_param="gamma")
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True, "1e-9"])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             fs_spec([0.3], tol=tol)
+
+    @pytest.mark.parametrize("swept, grid, bad", [
+        ("beta", ("0.3",), "'0.3'"),
+        ("beta", (0.2, True), "True"),
+        ("p_bar", (np.float64(10.0), None), "None"),
+    ])
+    def test_non_number_grid_values_rejected(self, swept, grid, bad):
+        with pytest.raises(ValueError, match=f"^{swept} grid value must be an int or a float, "
+                                             f"got {bad}$"):
+            fs_spec(grid, swept_param=swept)
+
+    def test_numpy_and_int_grid_values_accepted(self):
+        assert fs_spec([np.float32(0.25), 1], swept_param="beta").grid == (0.25, 1.0)
 
     @pytest.mark.parametrize("field, value, match", [
         ("transient", -1, "transient must be nonnegative, got -1"),
@@ -535,11 +548,9 @@ class TestFsQuotient:
 RECUR_BETAS = (0.3, 0.45, 0.515, 0.63, 0.635, 0.52, 0.53)
 
 
-def assert_fs_run_matches_loop(params, theta0, n, ticks, p0=None):
-    """_run of FS points on a complete graph (one point as scalars, more as a batch)
-    equals the per-agent reference run at every record, bit for bit."""
-    graph = complete_graph(n)
-    s0 = fs_initial_state(theta0, n, 5.0 * n if p0 is None else p0, params[0])
+def assert_run_matches_loop(s0, graph, params, ticks):
+    """_run of points from ``s0`` (one point as scalars, more as a batch) equals the
+    per-agent reference run at every record, bit for bit."""
     par = vars(params[0]) if len(params) == 1 else {
         k: [getattr(pr, k) for pr in params] for k in vars(params[0])}
     got = _run(s0, graph, par, ticks)
@@ -547,6 +558,12 @@ def assert_fs_run_matches_loop(params, theta0, n, ticks, p0=None):
         want = run_loop(s0, graph, pr, ticks[-1])
         for g, w in zip(got, want):
             assert g[j].dtype == w.dtype and g[j].tobytes() == w[list(ticks)].tobytes()
+
+
+def assert_fs_run_matches_loop(params, theta0, n, ticks, p0=None):
+    """assert_run_matches_loop from an FS start on a complete graph of n agents."""
+    s0 = fs_initial_state(theta0, n, 5.0 * n if p0 is None else p0, params[0])
+    assert_run_matches_loop(s0, complete_graph(n), params, ticks)
 
 
 def step_opinion_calls(monkeypatch):
@@ -562,8 +579,43 @@ def step_opinion_calls(monkeypatch):
 
 
 class TestFsRecurrence:
-    """An FS run stops at an exact recurrence of its state and fills the later
-    records by index; every record keeps the bits of the plain loop."""
+    """A run of any start, FS, random or read from a file, stops at an exact
+    recurrence of its state and fills the later records by index; every record
+    keeps the bits of the plain loop.  A random-start 20 x 20 lattice at beta 0.3
+    recurs with period 20 from tick 255 and stops at tick 276."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_and_file_starts(self, data, tmp_path_factory):
+        # small graphs, where a third to a half of these runs stop: complete graphs at
+        # beta 0.6 and 0.8 with periods up to 28, lattices mostly fixed from ~1080
+        kind = data.draw(st.sampled_from(["complete", "lattice", "random"]), label="kind")
+        if kind == "lattice":
+            graph = square_lattice(data.draw(st.integers(2, 3), label="side"))
+        elif kind == "complete":
+            graph = complete_graph(data.draw(st.integers(2, 7), label="n"))
+        else:
+            graph = random_graph(data.draw(st.integers(2, 9), label="n"),
+                                 data.draw(st.floats(0.1, 1.0), label="edge_prob"),
+                                 data.draw(st.integers(0, 2**32), label="graph_seed"))
+        n = graph.n_agents
+        betas = data.draw(st.lists(st.sampled_from([0.3, 0.45, 0.6, 0.8, 0.95]) | st.floats(0, 1),
+                                   min_size=1, max_size=3), label="betas")
+        params = [ModelParams(b, 0.5, 0.0, 1.0, 0.75 * n) for b in betas]
+        if data.draw(st.booleans(), label="file"):  # some agents share an opinion, or all do
+            values = st.sampled_from([-0.5, 0.2, 0.4, 0.7])
+            opinions = data.draw(st.one_of(st.lists(values, min_size=n, max_size=n),
+                                           values.map(lambda v: [v] * n)), label="opinions")
+            path = tmp_path_factory.mktemp("start") / "opinions.txt"
+            path.write_text(" ".join(map(repr, opinions)))
+            start = InitSpec("file", p0=100.0, path=str(path))
+        else:
+            start = InitSpec("random", p0=100.0)
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        s0 = initial_state(start.opinions(n, seed), 100.0, params[0])
+        end = data.draw(st.integers(2100, 2400), label="end")  # past the 2048 anchor's stops
+        stride = data.draw(st.integers(1, 7), label="stride")
+        assert_run_matches_loop(s0, graph, params, sorted({*range(0, end, stride), end}))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -637,6 +689,67 @@ class TestFsRecurrence:
         params = [ModelParams(b, 0.5, 0.0, 1.0, 1.5) for b in betas]
         assert_fs_run_matches_loop(params, 0.4, 2, range(2601))
         assert len(calls) == calls_made
+
+    @pytest.mark.parametrize("window, calls_made", [(28, 512 + 28 + 27), (27, 1100)],
+                             ids=["period-equal-to-window", "period-one-past-window"])
+    @pytest.mark.parametrize("betas", [[0.6], [0.8, 0.6]], ids=["single", "batch"])
+    def test_random_start_period_at_the_window_edge(self, monkeypatch, betas, window,
+                                                    calls_made):
+        # a random start on a complete graph of 6 recurs at beta 0.6 with period 28 from
+        # tick 503, so the anchor at 512 finds it, and at 0.8 with period 8 from tick 129
+        monkeypatch.setattr(dynamics, "_RECUR_WINDOW", window)
+        calls = step_opinion_calls(monkeypatch)
+        graph, params, s0 = random_start(complete_graph(6), betas[0], 4.5)
+        assert_run_matches_loop(s0, graph, [replace(params, beta=b) for b in betas],
+                                range(1101))
+        assert len(calls) == calls_made
+
+    @pytest.mark.parametrize("beta, label, calls_made", [
+        (0.3, "cycle,10", 276 + 19),  # period 20 from tick 255, found at the 256 anchor
+        (0.6, "aperiodic,", 11_024),  # never recurs: every tick runs
+    ])
+    def test_random_start_classify_stops_at_its_recurrence(self, monkeypatch, beta, label,
+                                                           calls_made):
+        # the CLI classify command's one-point sweep, at the default transient and tail
+        spec = SweepSpec(base_params=ModelParams(beta, 0.5, 0.0, 1.0, 300.0), swept_param="beta",
+                         grid=(beta,), initial=InitSpec("random", p0=100.0),
+                         graph_spec=GraphSpec(kind="lattice", side=20), seed=1)
+        calls = step_opinion_calls(monkeypatch)
+        (row,) = run_sweep(spec)
+        assert class_period(row.attractor) == label
+        assert len(calls) == calls_made
+        if beta == 0.3:  # the tail's last 40 ticks, against ticks 965-1004 of a full run
+            graph = spec.graph_spec.build()
+            s0 = initial_state(random_opinions(1, graph.n_agents), 100.0, spec.base_params)
+            want = simulate(s0, graph, spec.base_params, 11_024 - 20 * 501)
+            assert row.p_samples[-40:].tobytes() == want.pollution[-40:].tobytes()
+            assert (row.opinion_samples[-40:].tobytes()
+                    == want.opinions[-40:].mean(axis=1).tobytes())
+
+    @pytest.mark.parametrize("side, p_bar, calls_made", [
+        (100, 15.0, 2049),  # fixed from tick 1091, found at the 2048 anchor
+        (20, 300.0, 276 + 4),  # period 20: every later record reads offset 4
+    ])
+    def test_stopped_run_holds_no_cycle_of_states(self, monkeypatch, side, p_bar, calls_made):
+        graph, params, s0 = random_start(square_lattice(side), 0.3, p_bar)
+        runs = {}
+        for first in (dynamics._RECUR_FIRST, 10**9):  # the stop, and no recurrence test
+            monkeypatch.setattr(dynamics, "_RECUR_FIRST", first)
+            calls = step_opinion_calls(monkeypatch)
+            tracemalloc.start()
+            try:
+                traj = simulate(s0, graph, params, 3000, stride=1000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs[first] = traj, peak, len(calls)
+        (stopped, peak, made), (full, full_peak, _) = runs.values()
+        assert made == calls_made
+        for name in ("opinions", "pollution", "actions", "q_p"):
+            assert getattr(stopped, name).tobytes() == getattr(full, name).tobytes()
+        # a state of opinions and int64 actions is 16 bytes an agent: the anchor's bits
+        # and one kept state are two, where the 20 x 20 cycle would hold 19
+        assert peak < full_peak + 3 * 16 * graph.n_agents
 
 
 def memory_flips(traj):
@@ -793,6 +906,18 @@ class TestFsFromStartState:
         assert len(calls) == 2  # each start is FS, so one batch despite two threads
         assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "fs.csv").read_bytes()
 
+    def test_one_point_random_start_at_two_threads(self, monkeypatch):
+        # a grid of fewer points than threads runs one chunk per point
+        spec = fs_spec([0.3], transient=100, tail=64, max_period=16,
+                       initial=InitSpec("random", p0=100.0), seed=1,
+                       graph_spec=GraphSpec(kind="lattice", side=4))
+        calls = run_loop_calls(monkeypatch)
+        (one,), (two,) = run_sweep(spec, threads=1), run_sweep(spec, threads=2)
+        assert [par["beta"] for par, _ in calls] == [[0.3], [0.3]]
+        assert attractor_bytes(one.attractor) == attractor_bytes(two.attractor)
+        assert one.opinion_samples.tobytes() == two.opinion_samples.tobytes()
+        assert one.p_samples.tobytes() == two.p_samples.tobytes()
+
     def test_fs_grid_runs_as_one_batch_at_any_thread_count(self, monkeypatch):
         calls = run_loop_calls(monkeypatch)
         run_sweep(fs_spec([0.45, 0.52, 0.999], transient=300, tail=256), threads=3)
@@ -909,6 +1034,11 @@ class TestAttractorGallery:
         with pytest.raises(ValueError, match="beta") as info:
             attractor_gallery(betas, fs_spec([0.5], transient=10, tail=8, max_period=4))
         assert not isinstance(info.value, SweepError)
+
+    @pytest.mark.parametrize("betas, bad", [(["0.45"], "'0.45'"), ([0.45, True], "True")])
+    def test_non_number_betas_rejected(self, betas, bad):
+        with pytest.raises(ValueError, match=f"^beta must be an int or a float, got {bad}$"):
+            attractor_gallery(betas, fs_spec([0.5], transient=10, tail=8, max_period=4))
 
     def test_fs_gallery_on_a_lattice_matches_loop(self, monkeypatch):
         base = fs_spec([0.5], transient=300, tail=256, max_period=128,
