@@ -12,8 +12,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dynamics import (ModelParams, Trajectory, _check_beta, _check_count, _check_number, _field,
-                       _total_emission, _write_csv)
+from .dynamics import (ModelParams, Trajectory, _check_actions, _check_beta, _check_count,
+                       _check_number, _field, _total_emission, _write_csv)
 from .graph import Graph
 
 
@@ -150,10 +150,7 @@ def _actions(actions, graph: Graph) -> np.ndarray:
     if actions.shape != (graph.n_agents,):
         raise ValueError(f"need one action per agent ({graph.n_agents}), "
                          f"got an array of shape {actions.shape}")
-    bad = np.flatnonzero((actions != -1) & (actions != 1))  # NaN is neither
-    if bad.size:
-        raise ValueError(f"agent {bad[0]} has action {actions[bad[0]].item()!r}; "
-                         "an action must be -1 or 1")
+    _check_actions(actions)
     return actions
 
 

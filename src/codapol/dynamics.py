@@ -258,8 +258,18 @@ def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
 
     Refreshes the action memories from the current opinions/pollution, then
     computes the next pollution and every next opinion from tick-k
-    quantities only.
+    quantities only.  Mid-run, a zero opinion and a pollution at p_bar are legal.
     """
+    theta = np.asarray(state.opinions)
+    bad = np.flatnonzero(~(np.abs(theta) <= 1.0))  # NaN fails
+    if bad.size:
+        raise ValueError(f"agent {bad[0]} has opinion {theta[bad[0]].item()!r}; "
+                         "an opinion must lie in [-1, 1]")
+    _check_actions(np.asarray(state.actions))
+    if state.q_p not in (-1, 1):
+        raise ValueError(f"q_p must be -1 or 1, got {state.q_p!r}")
+    if not math.isfinite(state.pollution):
+        raise ValueError(f"pollution must be finite, got {state.pollution!r}")
     thetas, ps, qs, qps = _run(state, graph, vars(params), [1])
     return SimState(
         opinions=thetas[0, 0].copy(),
@@ -268,6 +278,14 @@ def step(state: SimState, graph: Graph, params: ModelParams) -> SimState:
         q_p=int(qps[0, 0]),
         tick=state.tick + 1,
     )
+
+
+def _check_actions(actions: np.ndarray) -> None:
+    """Reject an action other than -1 or 1, NaN included, naming its agent."""
+    bad = np.flatnonzero((actions != -1) & (actions != 1))
+    if bad.size:
+        raise ValueError(f"agent {bad[0]} has action {actions[bad[0]].item()!r}; "
+                         "an action must be -1 or 1")
 
 
 def _check_initial(opinions: np.ndarray, pollution: float, p_bars: Sequence[float],
@@ -327,8 +345,10 @@ def _check_seed(seed) -> None:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
-# Agents per Philox pass of random_opinions, which bounds its temporaries.
-_OPINION_BLOCK = 2**16
+# Agents per Philox pass of random_opinions: its 64 KB uint64 temporaries stay in
+# cache.  90 000 agents took 16.4 ms, against 17.7 at 2**14, 18.1 at 2**12 and
+# 25.5 at 2**16 (median of 15, 2 cores, numpy 2.4); the bits do not depend on it.
+_OPINION_BLOCK = 2**13
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +425,10 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
     int8 [P, S, N] and q_p int8 [P, S].  A set ``stop`` event raises
     ``KeyboardInterrupt`` within ``_POLL_TICKS`` ticks.
 
+    The action memories are int8, as recorded, so the quantizers, the +1 count,
+    the flip compare and the recurrence bytes read one byte an agent; numpy sums
+    small ints in int64, so the neighbor means keep their bits at any degree.
+
     On any graph a state with equal opinions and memories stays so bit for
     bit: ``Graph`` gives every agent d >= 1 in-neighbors, so its neighbor
     mean is d q / d = q exactly.  Such a run advances one column for all n
@@ -444,7 +468,7 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
         p = np.full((n_pts, 1), p)
     beta, gamma, e_min, e_max, p_bar = (par[k] for k in ("beta", "gamma", "e_min", "e_max", "p_bar"))
     theta = np.asarray(initial.opinions, dtype=np.float64)
-    q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int64))
+    q = quantize_opinion(theta, np.asarray(initial.actions, dtype=np.int8))
     qp = quantize_pollution(p, p_bar, initial.q_p)
 
     fs = (theta == theta[0]).all() and (q == q[0]).all()
@@ -483,13 +507,14 @@ def _run(initial: SimState, graph: Graph, par: dict, record_ticks: Sequence[int]
                 q, qp, n_plus = new_q, new_qp, new_n
             return theta, p, q, qp
     else:
-        # the signs as ints, q + 1 in {0, 2} and (q_p + 1) / 2 in {0, 1}, sum to a
-        # point's column of the field and emission tables; bools would index as masks
+        # the signs as int64s, q + 1 in {0, 2} and (q_p + 1) / 2 in {0, 1}, sum to a
+        # point's column of the field and emission tables; bools would index as masks,
+        # and int8 [P, 1] columns cost a cast per call (fs-sweep's _run: 321 -> 347 ms)
         base = 4 * np.arange(n_pts)[:, None]
         fields, totals = (np.broadcast_to(t, (n_pts, 4)).ravel() for t in (
             _field(np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]), beta),
             _total_emission(np.array([0, 0, n, n]), np.array([n, n, 0, 0]), e_min, e_max)))
-        q, qp = q + 1, (qp + 1) // 2
+        q, qp = q.astype(np.int64) + 1, (qp + 1) // 2
 
         def advance(state, ticks):  # a zero or NaN keeps the memory, as the quantizers do
             theta, p, s, sp = state

@@ -2,14 +2,14 @@
 
 A graph is stored once, in compressed sparse row (CSR) form with read-only
 arrays (see :class:`Graph`); a complete graph is stored as its agent count
-and answers every query in closed form, and a square lattice sums neighbors
-by a stencil.  Graphs are immutable: the dynamics assume a fixed interaction
-structure, and immutability makes graphs safe to share across threads.
+and answers every query in closed form, and a square lattice is stored as its
+side and answers every query on its grid.  Graphs are immutable: the dynamics
+assume a fixed interaction structure, and immutability makes graphs safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,9 +43,9 @@ class Graph:
     No other module reads the CSR arrays: the run loop takes neighbor averages
     from :meth:`neighbor_mean`, the cluster analysis :meth:`count_equal`,
     :meth:`components` and :attr:`degrees`, and the benchmark
-    :attr:`n_edges`.  A square lattice takes :meth:`neighbor_mean` by a
-    stencil (see :func:`square_lattice`), and a complete graph answers all
-    five in closed form (see :func:`complete_graph`).
+    :attr:`n_edges`.  A square lattice answers all five on its grid (see
+    :func:`square_lattice`), and a complete graph in closed form (see
+    :func:`complete_graph`); each builds its CSR arrays only when read.
     """
 
     n_agents: int
@@ -97,8 +97,9 @@ class Graph:
         return _read_only(self.indptr[1:] - self.indptr[:-1])
 
     def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
-        """In-neighbor mean of int64 actions ``q`` [N], or of each row of ``q`` [P, N] alike."""
-        return np.add.reduceat(q[..., self.indices], self._row_starts, axis=-1) / self.degrees
+        """In-neighbor mean of +-1 int actions ``q`` [N], or of each row of ``q`` [P, N] alike."""
+        return np.add.reduceat(np.take(q, self.indices, axis=-1), self._row_starts, axis=-1,
+                               dtype=np.int64) / self.degrees  # take: 1.2-2x faster than q[..., i]
 
     def count_equal(self, labels: np.ndarray) -> np.ndarray:
         """For each agent, how many of its in-neighbors share its entry of ``labels``."""
@@ -106,23 +107,10 @@ class Graph:
         return np.add.reduceat(same, self._row_starts, dtype=np.int64)
 
     def components(self, labels: np.ndarray) -> np.ndarray:
-        """For each agent, the smallest agent it reaches over equal-label edges either way.
-
-        Hook-and-compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
-        hooks every root under the smallest root an edge leads to, then jumps
-        pointers to the roots.  A root hooks only under a smaller one.
-        """
+        """For each agent, the smallest agent it reaches over equal-label edges either way."""
         rows = np.repeat(np.arange(self.n_agents), self.degrees)
         same = labels[self.indices] == labels[rows]
-        a, b = rows[same], self.indices[same]
-        root = np.arange(self.n_agents)
-        while a.size:
-            ra, rb = root[a], root[b]
-            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-            while (root[root] != root).any():
-                root = root[root]
-            a, b = a[ra != rb], b[ra != rb]  # an edge inside one tree stays inside
-        return root
+        return _hook_and_compress(self.n_agents, rows[same], self.indices[same])
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
@@ -133,6 +121,23 @@ class Graph:
     def n_edges(self) -> int:
         """Number of directed edges (ordered influence pairs)."""
         return int(self.indices.size)
+
+
+def _hook_and_compress(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each of ``n`` agents, the smallest agent it reaches over the edges a[k] -- b[k].
+
+    Hook-and-compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
+    hooks every root under the smallest root an edge leads to, then jumps
+    pointers to the roots.  A root hooks only under a smaller one.
+    """
+    root = np.arange(n)
+    while a.size:
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while (root[root] != root).any():
+            root = root[root]
+        a, b = a[ra != rb], b[ra != rb]  # an edge inside one tree stays inside
+    return root
 
 
 def _from_edges(n: int, src: np.ndarray, dst: np.ndarray, directed: bool) -> Graph:
@@ -209,19 +214,58 @@ def complete_graph(n: int) -> Graph:
 
 
 class _SquareLattice(Graph):
-    """Square lattice whose neighbor sums add four shifted views of the zero-padded grid.
+    """The side x side lattice, held as its side; each query reads a side x side grid.
 
-    Sums of +-1 actions are exact integers, so the means have the bits of CSR's.
+    Neighbor sums add four shifted views of the zero-padded grid, exact integers
+    with the bits of CSR's; label queries find each equal-label edge once.  The
+    CSR arrays are built, and checked by :class:`Graph`, on first read only.
     """
 
+    def __init__(self, side: int):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "n_agents", side * side)
+
+    def __repr__(self) -> str:  # the dataclass repr would build both arrays
+        return f"square_lattice({self.side})"
+
+    @cached_property
+    def _csr(self) -> Graph:  # under one label everywhere, every edge joins equal labels
+        return _from_edges(self.n_agents, *self._equal_edges(np.zeros(self.n_agents)), False)
+
+    indptr = cached_property(lambda self: self._csr.indptr)
+    indices = cached_property(lambda self: self._csr.indices)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return _read_only(self.count_equal(np.zeros(self.n_agents)))
+
+    @property
+    def n_edges(self) -> int:
+        return 4 * self.side * (self.side - 1)
+
+    def _equal_edges(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ends a, b of every edge whose two agents share a label, each edge once."""
+        side = self.side
+        grid = np.asarray(labels).reshape(side, side)
+        right = np.flatnonzero(grid[:, :-1] == grid[:, 1:])
+        right += right // (side - 1)  # from a [side, side - 1] index to an agent
+        down = np.flatnonzero(grid[:-1] == grid[1:])
+        return np.concatenate((right, down)), np.concatenate((right + 1, down + side))
+
     def neighbor_mean(self, q: np.ndarray) -> np.ndarray:
-        side = math.isqrt(self.n_agents)
+        side = self.side
         grid = np.zeros(q.shape[:-1] + (side + 2, side + 2), dtype=np.int64)
         grid[..., 1:-1, 1:-1] = q.reshape(q.shape[:-1] + (side, side))
         total = grid[..., :-2, 1:-1] + grid[..., 2:, 1:-1]
         total += grid[..., 1:-1, :-2]
         total += grid[..., 1:-1, 2:]
         return (total / self.degrees.reshape(side, side)).reshape(q.shape)
+
+    def count_equal(self, labels: np.ndarray) -> np.ndarray:
+        return np.bincount(np.concatenate(self._equal_edges(labels)), minlength=self.n_agents)
+
+    def components(self, labels: np.ndarray) -> np.ndarray:
+        return _hook_and_compress(self.n_agents, *self._equal_edges(labels))
 
 
 def square_lattice(side: int) -> Graph:
@@ -231,15 +275,7 @@ def square_lattice(side: int) -> Graph:
     Agent (r, c) has index ``r * side + c``.
     """
     _check_count("side", side, 2)
-    agent = np.arange(side * side).reshape(side, side)
-    # up, left, right and down are each agent's in-neighbors in ascending order,
-    # so the present ones, row by row, are the CSR indices
-    table = np.stack((agent - side, agent - 1, agent + 1, agent + side), axis=-1)
-    present = np.ones((side, side, 4), dtype=bool)
-    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 2] = present[-1, :, 3] = False
-    indptr = np.zeros(side * side + 1, dtype=np.int64)
-    np.cumsum(present.sum(axis=-1), out=indptr[1:])
-    return _SquareLattice(n_agents=side * side, indptr=indptr, indices=table[present])
+    return _SquareLattice(int(side))
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:

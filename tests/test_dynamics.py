@@ -29,7 +29,7 @@ from codapol.dynamics import (
     step_opinion,
     step_pollution,
 )
-from codapol.graph import complete_graph, random_graph
+from codapol.graph import Graph, complete_graph, random_graph
 
 from helpers import (
     SPECIAL_FLOATS,
@@ -304,6 +304,33 @@ class TestStep:
         assert s_bad.pollution == s_good.pollution
 
 
+    @pytest.mark.parametrize("opinions, actions, q_p, pollution, match", [
+        ([0.0, 0.5, 0.5, 0.5], [300, 1, 1, 1], 7, 100.0, "agent 0 has action 300;"),
+        ([0.5, 0.5, 0.5, 0.5], [1, 1, 0, 1], 1, 100.0, "agent 2 has action 0;"),
+        ([0.5, 1.5, 0.5, 0.5], [1, 1, 1, 1], 1, 100.0, r"agent 1 has opinion 1.5; .* \[-1, 1\]"),
+        ([0.5, 0.5, 0.5, math.nan], [1, 1, 1, 1], 1, 100.0, "agent 3 has opinion nan;"),
+        ([0.5, 0.5, 0.5, 0.5], [1, 1, 1, 1], 7, 100.0, "q_p must be -1 or 1, got 7"),
+        ([0.5, 0.5, 0.5, 0.5], [1, 1, 1, 1], 0, 100.0, "q_p must be -1 or 1, got 0"),
+        ([0.5, 0.5, 0.5, 0.5], [1, 1, 1, 1], 1, math.inf, "pollution must be finite"),
+        ([0.5, 0.5, 0.5, 0.5], [1, 1, 1, 1], 1, math.nan, "pollution must be finite"),
+    ])
+    def test_illegal_state_rejected(self, opinions, actions, q_p, pollution, match):
+        # int8 memories would wrap an action of 300 to 44 without a word
+        state = SimState(np.array(opinions), pollution, np.array(actions, dtype=np.int64), q_p)
+        with pytest.raises(ValueError, match=match):
+            step(state, complete_graph(4), BASE)
+
+    def test_mid_run_ties_and_boundaries_accepted(self):
+        # a zero opinion keeps its memory and a pollution at p_bar keeps q_p
+        state = SimState(np.array([0.0, -0.0, 1.0, -1.0]), BASE.p_bar,
+                         np.array([-1, 1, 1, -1], dtype=np.int64), -1)
+        s1 = step(state, complete_graph(4), BASE)
+        want = run_loop(state, complete_graph(4), BASE, 1)
+        assert s1.opinions.tobytes() == want[0][1].tobytes() and s1.pollution == want[1][1]
+        assert s1.actions.dtype == np.int64 and s1.actions.tolist() == want[2][1].tolist()
+        assert s1.q_p == want[3][1]
+
+
 class TestInitialState:
     def test_zero_opinion_rejected_naming_agent(self):
         with pytest.raises(ValueError, match="agent 2"):
@@ -398,6 +425,25 @@ class TestSimulate:
         s0.pollution = BASE.p_bar
         with pytest.raises(ValueError, match="threshold"):
             simulate(s0, g, BASE, 10)
+
+    def test_high_degree_int8_memories_sum_exactly(self):
+        # in-degree 299 > 127: the int8 memories' neighbor sums of about 240 stay
+        # exact only because numpy sums small ints in the platform int
+        complete = complete_graph(300)
+        csr = Graph(300, complete.indptr, complete.indices)
+        params = ModelParams(beta=0.2, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=150.0)
+        opinions = np.abs(random_opinions(3, 300))
+        opinions[::10] *= -1.0
+        s0 = initial_state(opinions, 100.0, params)
+        want = run_loop(s0, csr, params, 6)
+        assert want[2][0].sum() == 240
+        for graph in (complete, csr):
+            traj = simulate(s0, graph, params, 6)
+            for got, ref in zip((traj.opinions, traj.pollution, traj.actions, traj.q_p), want):
+                assert got.tobytes() == ref.tobytes()
+        s1 = step(s0, csr, params)
+        assert s1.opinions.tobytes() == want[0][1].tobytes()
+        assert s1.actions.dtype == np.int64 and s1.actions.tolist() == want[2][1].tolist()
 
     @pytest.mark.parametrize("n_agents, n_steps, stride, match", [
         (3, -1, 1, "n_steps must be nonnegative, got -1"),

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codapol.analysis import find_preserved_clusters
+from codapol.dynamics import ModelParams, initial_state, random_opinions, simulate
 from codapol.graph import (
     Graph,
     GraphSpec,
@@ -144,6 +148,43 @@ class TestCompleteGraph:
 
 
 class TestSquareLattice:
+    @given(side=st.integers(2, 40), weights=st.tuples(*[st.integers(0, 3)] * 3).filter(any),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_queries_match_csr(self, side, weights, seed):
+        n = side * side
+        g, csr = square_lattice(side), Graph(n, *csr_of(square_lattice_neighbors(side)))
+        assert g.n_edges == csr.n_edges and repr(g) == f"square_lattice({side})"
+        rng = np.random.default_rng(seed)
+        for dtype in (np.int8, np.int64):
+            q = rng.choice([-1, 1], size=(3, n)).astype(dtype)
+            for actions in (q, q[0]):
+                assert g.neighbor_mean(actions).tobytes() == csr.neighbor_mean(actions).tobytes()
+        # NaN equals no label, so each NaN agent is alone
+        share = np.array(weights) / sum(weights)
+        for labels in (rng.choice([-1.0, 1.0, np.nan], n, p=share), rng.random(n) < share[0]):
+            for query in ("count_equal", "components"):
+                got, want = getattr(g, query)(labels), getattr(csr, query)(labels)
+                assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+        assert not {"indptr", "indices"} & vars(g).keys()  # no query has built them
+        for name in ("degrees", "indptr", "indices"):
+            got, want = getattr(g, name), getattr(csr, name)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert not got.flags.writeable
+
+    def test_million_agent_run_builds_no_edges(self):
+        tracemalloc.start()
+        try:
+            g = square_lattice(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        params = ModelParams(beta=0.45, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=15.0)
+        s0 = initial_state(random_opinions(1, g.n_agents), 100.0, params)
+        assert find_preserved_clusters(simulate(s0, g, params, 2), g, params.beta)
+        assert "indices" not in vars(g)
+
     def test_fifty_by_fifty(self):
         g = square_lattice(50)
         assert g.n_agents == 2500

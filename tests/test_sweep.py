@@ -812,9 +812,12 @@ class TestReusedField:
         opinions = np.array([0.4, -0.3, 0.2, -0.1, 0.6])
         s0 = SimState(opinions.copy(), 100.0, np.zeros(5, dtype=np.int64), -1)
         assert quantize_opinion(opinions, s0.actions).tolist() == [1, -1, 1, -1, 1]
-        assert_single_runs_match_loop(s0, complete_graph(5), BASE, 30)
-        s1 = step(s0, complete_graph(5), BASE)
-        assert s1.actions.tolist() == np.sign(s1.opinions).astype(np.int64).tolist()
+        traj = simulate(s0, complete_graph(5), BASE, 30)
+        for got, want in zip((traj.opinions, traj.pollution, traj.actions, traj.q_p),
+                             run_loop(s0, complete_graph(5), BASE, 30)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="agent 0 has action 0"):  # step takes only +-1
+            step(s0, complete_graph(5), BASE)
 
     def test_simulate_leaves_the_start_unchanged(self):
         graph, params, s0 = random_start(square_lattice(8), 0.9, 32.0)
