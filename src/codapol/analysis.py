@@ -299,6 +299,7 @@ def fs_escape_bound(beta: float) -> int:
     starting opinions shrink more slowly at first (the mobility factor
     1 - theta^2 is small near the boundary) and can exceed this bound.
     """
+    _check_number("beta", beta)
     if not 0.5 < beta <= 1.0:
         raise ValueError(f"escape bound requires beta in (1/2, 1], got {beta}")
     return math.ceil(1.0 / (2.0 * beta - 1.0))

@@ -111,6 +111,8 @@ class TestPredictedOpinionLimit:
         ("beta", 1, -0.1),
         ("beta", -1, 1.5),
         ("beta", -1, math.inf),
+        ("beta", 1, True),
+        ("beta", 1, "0.5"),
     ])
     def test_bad_signal_or_weight_rejected_by_name(self, name, q_p_star, beta):
         with pytest.raises(ValueError, match=rf"^{name} must "):
@@ -265,6 +267,8 @@ class TestCertifyCluster:
         (np.array([1, 2**63], dtype=np.uint64), np.ones(9), 0.4,
          rf"member {2**63} out of range \[0, 9\)"),
         *(([0, 1], actions, 0.3, match) for actions, match in BAD_ACTIONS),
+        ([0, 1], np.ones(9), True, r"beta must be an int or a float, got True"),
+        ([0, 1], np.ones(9), "0.5", r"beta must be an int or a float, got '0.5'"),
     ])
     def test_bad_input_rejected(self, members, actions, beta, match):
         with pytest.raises(ValueError, match=match):
@@ -486,6 +490,13 @@ class TestFindPreservedClusters:
         g = complete_graph(20)
         traj = simulate(fs_initial_state(0.4, 20, 100.0, BASE), g, BASE, 5)
         with pytest.raises(ValueError, match="beta must lie in"):
+            find_preserved_clusters(traj, g, beta)
+
+    @pytest.mark.parametrize("beta", [True, "0.5"])
+    def test_beta_not_a_number_rejected(self, beta):
+        g = complete_graph(20)
+        traj = simulate(fs_initial_state(0.4, 20, 100.0, BASE), g, BASE, 5)
+        with pytest.raises(ValueError, match=f"^beta must be an int or a float, got {beta!r}$"):
             find_preserved_clusters(traj, g, beta)
 
     @pytest.mark.parametrize("graph", [square_lattice(6), complete_graph(10)],
@@ -721,6 +732,12 @@ class TestFsEscapeBound:
             fs_escape_bound(2.0)
         with pytest.raises(ValueError, match=r"beta in \(1/2, 1\], got nan"):
             fs_escape_bound(math.nan)
+
+    @pytest.mark.parametrize("beta", [True, "0.5"])
+    def test_beta_not_a_number_rejected(self, beta):
+        # True would pass the range test as 1
+        with pytest.raises(ValueError, match=f"^beta must be an int or a float, got {beta!r}$"):
+            fs_escape_bound(beta)
 
     @given(
         beta=st.floats(0.501, 1.0),

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -463,6 +464,17 @@ class TestSimulate:
     def test_step_rejects_agent_count_mismatch(self):
         with pytest.raises(ValueError, match="state has 4 agents but graph has 3"):
             step(fs_initial_state(0.4, 4, 100.0, BASE), complete_graph(3), BASE)
+
+    @pytest.mark.parametrize("actions", [[1], [[1] * 4] * 2], ids=["one", "two-rows"])
+    def test_actions_of_wrong_shape_rejected(self, actions):
+        # one memory would broadcast to every agent, and two rows fail in the record loop
+        match = re.escape(f"state has actions of shape {np.shape(actions)} but graph has 4 agents")
+        state = SimState(np.array([0.0, 0.5, 0.5, 0.5]), 100.0, np.array(actions), 1)
+        with pytest.raises(ValueError, match=match):
+            step(state, complete_graph(4), BASE)
+        s0 = replace(fs_initial_state(0.4, 4, 100.0, BASE), actions=np.array(actions))
+        with pytest.raises(ValueError, match=match):
+            simulate(s0, complete_graph(4), BASE, 10)
 
     def test_boundary_opinions_need_override(self):
         g = complete_graph(3)

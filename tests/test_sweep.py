@@ -669,6 +669,20 @@ class TestFsRecurrence:
         for points in (params, params * 2):
             assert_fs_run_matches_loop(points, 0.4, 2, range(1, 6001))
 
+    @pytest.mark.parametrize("theta0", [0.4, -0.4])
+    def test_nan_pollution_keeps_the_signal(self, theta0):
+        # 20 agents at +-1e308 take the pollution to +-inf at tick 1 and q_p to -+1; at
+        # beta 0.6 and 0.9 the actions flip, and inf - inf is NaN from then on, a tie
+        # that keeps q_p at -1 from 0.4 and at +1 from -0.4
+        base = ModelParams(0.5, 0.5, -1e308, 1e308, 15.0)
+        params = [replace(base, beta=b) for b in (0.3, 0.6, 0.9)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_fs_run_matches_loop(params, theta0, 20, range(300), p0=100.0)
+            rows = assert_rows_match_full_runs(fs_spec(
+                [0.3, 0.6, 0.9], transient=100, tail=64, max_period=32, base_params=base,
+                initial=InitSpec("fs", p0=100.0, theta0=theta0)), threads=1)
+        assert [np.isnan(row.p_samples).all() for row in rows] == [False, True, True]
+
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("beta", RECUR_BETAS)
     def test_simulate(self, beta, stride):
