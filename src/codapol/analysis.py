@@ -312,6 +312,19 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
+# Values per block of opinion gaps in classify_states: 1 MB temporaries.
+_GAP_BLOCK = 2**17
+
+
+def _row_gaps(rows: np.ndarray, other: np.ndarray):
+    """Yield max |rows[i] - other[i]| (``other`` may be one row) for [R, K]
+    ``rows``, a block of rows at a time, so that no [R, K] temporary is made."""
+    step = max(1, _GAP_BLOCK // max(1, rows.shape[1]))
+    for i in range(0, len(rows), step):
+        gaps = rows[i:i + step] - (other if other.ndim == 1 else other[i:i + step])
+        yield np.max(np.abs(gaps, out=gaps), axis=1, initial=0.0)  # 0 for no agents
+
+
 def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEFAULT_TOL,
                     max_period: int = DEFAULT_MAX_PERIOD) -> AttractorClass:
     """Classify a post-transient tail: opinions [T] or [T, N], pollutions [T].
@@ -326,6 +339,10 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
     passes must then match the first state to the state m ticks later, row
     0 of its full-tail check, before that check runs.  The result is the
     same as checking every m; a NaN gap fails, as a NaN full check does.
+
+    The opinion and pollution gaps are taken apart, and the opinion gaps in
+    blocks of rows, so no copy of the tail is made; a period passes only if
+    both parts are within ``tol``, which is the max-norm test on (theta, p).
     """
     _check_count("max_period", max_period, 1)
     _check_tol(tol)
@@ -342,15 +359,19 @@ def classify_states(thetas: np.ndarray, pollutions: np.ndarray, tol: float = DEF
         )
     # an FS tail broadcasts one column to all agents (stride 0): measure that column,
     # and broadcast a fixed point's copy of it back
-    cols = thetas[:, :1] if thetas.ndim == 2 and thetas.strides[1] == 0 else thetas
-    states = np.column_stack([cols, pollutions])
-    earlier = states[n_tail - 1 - max_period:n_tail - 1][::-1]
-    gaps = np.max(np.abs(states[-1] - earlier), axis=1)
-    for m in (np.flatnonzero(gaps < tol) + 1).tolist():
-        if (np.max(np.abs(states[m] - states[0])) < tol
-                and np.max(np.abs(states[m:] - states[:-m])) < tol):
+    fs = thetas.ndim == 2 and thetas.strides[1] == 0
+    cols = thetas[:, :1] if fs else thetas.reshape(n_tail, -1)
+    first = n_tail - 1 - max_period  # the earlier states, last first
+    opinion_gaps = np.concatenate(list(_row_gaps(cols[first:-1][::-1], cols[-1])))
+    candidates = (opinion_gaps < tol) & (np.abs(pollutions[-1] - pollutions[first:-1][::-1]) < tol)
+    for m in (np.flatnonzero(candidates) + 1).tolist():
+        if (np.max(np.abs(cols[m] - cols[0]), initial=0.0) < tol
+                and abs(pollutions[m] - pollutions[0]) < tol
+                and np.max(np.abs(pollutions[m:] - pollutions[:-m])) < tol
+                and all(gaps.max() < tol for gaps in _row_gaps(cols[m:], cols[:-m]))):
             if m == 1:
-                return FixedPoint(theta_star=np.broadcast_to(cols[-1].copy(), thetas.shape[1:]),
+                last = cols[-1] if thetas.ndim == 2 else thetas[-1]
+                return FixedPoint(theta_star=np.broadcast_to(last.copy(), thetas.shape[1:]),
                                   p_star=float(pollutions[-1]))
             return LimitCycle(period=m)
     return Aperiodic()

@@ -828,6 +828,34 @@ class TestClassifyAttractor:
         assert out.theta_star.shape == (10**6,) and out.theta_star.strides == (0,)
         assert peak < 10**5  # one copied row alone is 8 MB
 
+    def test_tail_without_agents(self):
+        # a [T, 0] tail is classified by its pollutions alone
+        out = classify_states(np.zeros((40, 0)), np.full(40, 3.0), max_period=4)
+        assert out.kind == "fixed" and out.theta_star.shape == (0,) and out.p_star == 3.0
+        out = classify_states(np.zeros((40, 0)), np.tile([1.0, 2.0], 20), max_period=4)
+        assert out == LimitCycle(period=2)
+        assert classify_states(np.zeros((40, 0)), np.arange(40.0), max_period=4).kind == "aperiodic"
+
+    @pytest.mark.parametrize("period", [None, 2])
+    def test_wide_tail_is_not_copied(self, period):
+        # the [1024, 10 000] tail is 78 MB; its gaps are taken in 1 MB row blocks,
+        # where a copy of the tail and its [max_period, N] gaps took 117 MB
+        rng = np.random.default_rng(5)
+        if period is None:
+            thetas, pollutions = rng.random((1024, 10**4)), rng.random(1024)
+        else:
+            thetas = np.tile(rng.random((period, 10**4)), (1024 // period, 1))
+            pollutions = np.tile(rng.random(period), 1024 // period)
+        tracemalloc.start()
+        try:
+            out = classify_states(thetas, pollutions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert getattr(out, "period", None) == period
+        assert out.kind == ("aperiodic" if period is None else "cycle")
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True, "1e-9"])
     def test_bad_tol_rejected(self, tol):
         thetas = np.full((40, 2), 0.3)

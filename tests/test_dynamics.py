@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from codapol.dynamics import (
     ModelParams,
     SimState,
     _BLOCK_FIELDS,
+    _EXACT_MIN,
     _philox4x64,
     _write_csv,
     fs_initial_state,
@@ -691,6 +692,13 @@ ANY_FLOAT = st.one_of(
     st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
     st.sampled_from(EDGE_FLOATS),
 )
+# Doubles in and around the range that _float_fields formats without %, [1e-7,
+# 1e16): a sign, a decade in [-8, 17), one of the binades that meet it and 52
+# random mantissa bits.  ANY_FLOAT lands there about once in 80 draws.
+DECADE_FLOAT = st.builds(
+    lambda sign, decade, binade, mantissa: sign * math.ldexp(
+        2**52 + mantissa, math.floor(decade * math.log2(10)) + binade - 52),
+    st.sampled_from([1, -1]), st.integers(-8, 16), st.integers(0, 3), st.integers(0, 2**52 - 1))
 ANY_INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([-2**63, 2**63 - 1]))
 LABELS = ("", "fixed", "cycle", "aperiodic", "0.5,cycle,12", "1e+308,fixed,")
 
@@ -738,6 +746,44 @@ class TestWriteCsv:
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         _write_csv(path, "h", parts)
         assert path.read_bytes().decode() == csv_per_field("h", parts)
+
+    # no shrink phase: shrinking a failing list of 128+ floats ran for minutes,
+    # and the assertion's diff already shows the wrong field
+    @settings(max_examples=50, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(floats=st.lists(DECADE_FLOAT, min_size=_EXACT_MIN, max_size=2 * _EXACT_MIN,
+                           unique=True))
+    def test_decade_values(self, floats, tmp_path_factory):
+        # distinct enough for the block to take _float_fields' exact path
+        part = [np.arange(len(floats)), np.array(floats)]
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        _write_csv(path, "i,x", [part])
+        assert path.read_bytes().decode() == csv_per_field("i,x", [part])
+
+    def test_exact_range_edges(self, tmp_path):
+        powers = [float(f"1e{k}") for k in range(-8, 18)]
+        # each power of ten and its neighbours: 1e-07 and 1e-06 are the doubles
+        # just below 10**-7 and 10**-6, which at the k of the decade above
+        # round up to the next power of ten
+        pinned = [y for x in powers for y in (np.nextafter(x, 0), x, np.nextafter(x, math.inf))]
+        # exact ties in the 17th digit, to even both ways: an odd multiple of
+        # 2**-(17 - X) in decade X times 10**(16 - X) ends in .5
+        pinned += [(2 * math.floor(c * 10.0**x * 2**(17 - x) / 2) + 1) * 2.0**-(17 - x)
+                   for x in range(-8, 16) for c in (1.25, 1.5, 2.0)]
+        # multiples of 2**-20 that tie in decade 3, odd multiples of 0.5 above
+        # 2**37 (trailing zeros dropped), 2**53 and 2**53 + 2, whose product is
+        # shifted left, and both zeros
+        pinned += [(2**24 + 1) * 2.0**-14, (3 * 2**24 + 5) * 2.0**-14, 2**37 + 0.5,
+                   2**40 + 1.5, 2.0**53, 2.0**53 + 2, 0.0, -0.0]
+        column = np.array(pinned + [-x for x in pinned])
+        assert len(np.unique(column.view(np.int64))) >= _EXACT_MIN
+        part = [np.arange(len(column)), column]
+        _write_csv(tmp_path / "out.csv", "i,x", [part])
+        text = (tmp_path / "out.csv").read_text()
+        assert text == csv_per_field("i,x", [part])
+        fields = [line.split(",")[1] for line in text.split("\n")[1:-1]]
+        assert {"9.9999999999999995e-08", "9007199254740992", "9007199254740994",
+                "10000000000000000", "0", "-0"} <= set(fields)
 
     def test_edge_values_one_per_line(self, tmp_path):
         floats = np.array(EDGE_FLOATS)
