@@ -12,8 +12,9 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .csvout import CsvWriter
 from .dynamics import (ModelParams, Trajectory, _check_actions, _check_beta, _check_count,
-                       _check_number, _field, _total_emission, _write_csv)
+                       _check_number, _field, _total_emission)
 from .graph import Graph
 
 
@@ -66,8 +67,9 @@ class ClusterReport:
     ``violations`` lists (agent, in_count, out_count, slack) for agents that
     fail the binding condition (the weak one if it fails, otherwise the
     strong one), worst offenders first.  ``worst_strong_slack`` is the
-    minimum strong-condition slack over members; it is negative exactly when
-    the strong certificate fails.
+    minimum strong-condition slack over members.  The verdicts come from the
+    run loop's field (see :func:`certify_cluster`), so at an exact boundary
+    a slack's sign can disagree with them.
     """
 
     members: tuple[int, ...]
@@ -173,28 +175,30 @@ def _certify(mem: np.ndarray, bounds: np.ndarray, actions: list[int], inside: np
 
     Each cluster is ascending, with common action ``actions[k]``; ``n_i`` and
     ``inside`` give each member's in-neighbors and how many of them lie in its
-    cluster.  Every member's slacks come in one pass, each cluster's verdicts
+    cluster.  Every member's slacks and verdicts come in one pass, each cluster's
     from ``minimum.reduceat`` (a segmented reduction: Blelloch, IEEE Trans.
     Computers 38, 1989), and its violations from one stable ``lexsort``.
     """
     outside = n_i - inside
     margin = (math.inf if beta == 1.0 else beta / (1.0 - beta)) * n_i
     weak, strong = inside - outside + margin, inside - outside - margin
+    # the run loop's worst-case field, its mean int / int as in every neighbor_mean
+    weak_ok, strong_ok = (_field((inside - outside) / n_i, q_p, beta) >= 0.0 for q_p in (1.0, -1.0))
     starts = bounds[:-1]
-    weakly, worst = np.minimum.reduceat(weak, starts) >= 0.0, np.minimum.reduceat(strong, starts)
+    weakly, strongly, worst = (np.minimum.reduceat(x, starts) for x in (weak_ok, strong_ok, strong))
     cluster = np.repeat(np.arange(starts.size), np.diff(bounds))
     binding = np.where(weakly[cluster], strong, weak)
-    fails = np.flatnonzero(binding < 0.0)
+    fails = np.flatnonzero(~np.where(weakly[cluster], strong_ok, weak_ok))
     fails = fails[np.lexsort((binding[fails], cluster[fails]))]  # ties keep member order
     cuts = np.searchsorted(cluster[fails], np.arange(bounds.size)).tolist()
     violations = list(zip(*(x[fails].tolist() for x in (mem, inside, outside, binding))))
     members, bounds = mem.tolist(), bounds.tolist()
     return [
         ClusterReport(members=tuple(members[a:b]), action=action, weakly_robust=w,
-                      strongly_robust=s >= 0.0, worst_strong_slack=s,
+                      strongly_robust=s, worst_strong_slack=slack,
                       violations=tuple(violations[c:d]))
-        for a, b, c, d, action, w, s in zip(bounds, bounds[1:], cuts, cuts[1:], actions,
-                                            weakly.tolist(), worst.tolist())
+        for a, b, c, d, action, w, s, slack in zip(bounds, bounds[1:], cuts, cuts[1:], actions,
+                                                   *(x.tolist() for x in (weakly, strongly, worst)))
     ]
 
 
@@ -203,8 +207,10 @@ def certify_cluster(members, graph: Graph, actions_at_0, beta: float) -> Cluster
 
     Weak condition per member i: |N_i in A| >= |N_i not in A| - beta/(1-beta) * n_i.
     Strong condition: same with the margin added instead of subtracted.
-    At beta = 1 the margin diverges: every same-action set is weakly robust
-    and no set is strongly robust.
+    Each holds when the run loop's float field (1 - beta) (in - out) / n_i +
+    beta q_p, the signal q_p for (weak) or against (strong) the action, is 0
+    or of the action's sign; rounding is monotone, so no field the run reaches
+    is worse.  At beta = 1 every same-action set is weakly robust and none strongly.
     """
     in_cluster = _mask(members, graph.n_agents, "member")
     mem = np.flatnonzero(in_cluster)
@@ -382,8 +388,8 @@ def write_cluster_csv(reports: Sequence[ClusterReport], path) -> None:
     ints = np.array([(rep.size, rep.action, rep.weakly_robust, rep.strongly_robust)
                      for rep in reports], dtype=np.int64).reshape(-1, 4)
     slack = np.array([rep.worst_strong_slack for rep in reports], dtype=np.float64)
-    _write_csv(path, "cluster_id,size,action,weak,strong,worst_slack",
-               [[np.arange(len(reports)), ints, slack]])
+    with CsvWriter(path, "cluster_id,size,action,weak,strong,worst_slack") as out:
+        out.write([np.arange(len(reports)), ints, slack])
 
 
 def write_lattice_grid_csv(trajectory: Trajectory, side: int,
@@ -396,5 +402,5 @@ def write_lattice_grid_csv(trajectory: Trajectory, side: int,
     n = trajectory.n_agents
     strong = _mask((i for rep in reports if rep.strongly_robust for i in rep.members), n, "member")
     row, col = np.divmod(np.arange(n), side)
-    _write_csv(path, "row,col,theta_final,action_final,in_strong_cluster",
-               [[row, col, trajectory.opinions[-1], trajectory.actions[-1], strong]])
+    with CsvWriter(path, "row,col,theta_final,action_final,in_strong_cluster") as out:
+        out.write([row, col, trajectory.opinions[-1], trajectory.actions[-1], strong])

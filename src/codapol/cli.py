@@ -24,7 +24,8 @@ from .analysis import (
     write_lattice_grid_csv,
 )
 from .config import ConfigError, RunConfig, parse_config, render_config
-from .dynamics import _write_csv, initial_state, simulate
+from .csvout import CsvWriter
+from .dynamics import initial_state, simulate
 from .sweep import (
     SweepError,
     SweepSpec,
@@ -85,8 +86,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
         write_gallery_csv(attractor_gallery(cfg.betas, base), output("gallery.csv"))
     elif cfg.command == "classify":
         (row,) = run_sweep(_sweep_spec(cfg, (cfg.params.beta,), "beta"))
-        _write_csv(output("classification.csv"), "class,period",
-                   [[([class_period(row.attractor)], [0])]])
+        with CsvWriter(output("classification.csv"), "class,period") as out:
+            out.write([([class_period(row.attractor)], [0])])
 
     written[0].write_text(manifest)
     if not quiet:

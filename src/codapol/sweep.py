@@ -14,6 +14,7 @@ instead of O(P N), and is broadcast back, so a fixed point's ``theta_star``
 keeps length N and every CSV the same bytes.  A run of any start stops once
 every point's state has recurred bit for bit, and fills the rest of its tail
 by index: a random-start 20 x 20 lattice at beta 0.3 has period 20 from tick 255.
+The CSV writers hand ``csvout.CsvWriter`` one row or gallery entry per call.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import numpy as np
 
 from .analysis import (DEFAULT_MAX_PERIOD, DEFAULT_TOL, AttractorClass, _check_tol, class_period,
                        classify_states)
-from .dynamics import (_BLOCK_FIELDS, ModelParams, SimState, Trajectory, _check_count, _check_initial,
-                       _check_number, _check_seed, _run, _write_csv, initial_state,
-                       quantize_opinion, random_opinions, simulate)
+from .csvout import CsvWriter
+from .dynamics import (ModelParams, SimState, Trajectory, _check_count, _check_initial,
+                       _check_number, _check_seed, _run, initial_state, quantize_opinion,
+                       random_opinions, simulate)
 from .graph import GraphSpec
 
 
@@ -225,27 +227,22 @@ def attractor_gallery(betas: Sequence[float], base: SweepSpec
 def write_bifurcation_csv(rows: Sequence[SweepRow], path) -> None:
     """Export scatter data: param_value,class,period,sample_index,theta_sample,p_sample.
 
-    The writer gets whole rows in parts of about one block of 4-field lines,
-    as file-long columns would raise the peak memory.
+    One ``write`` call per row, so no file-long column is made; ``csvout``
+    packs the rows into blocks of its own size.
     """
-    def parts():
-        step = max(1, _BLOCK_FIELDS // 4 // max(1, len(rows[0].p_samples))) if rows else 1
-        for group in (rows[i:i + step] for i in range(0, len(rows), step)):
-            sizes = [len(row.p_samples) for row in group]
-            heads = ["%.17g,%s" % (row.param_value, class_period(row.attractor)) for row in group]
-            yield [(heads, np.repeat(np.arange(len(group)), sizes)),
-                   np.concatenate([np.arange(n) for n in sizes]),
-                   np.concatenate([row.opinion_samples for row in group]),
-                   np.concatenate([row.p_samples for row in group])]
-
-    _write_csv(path, "param_value,class,period,sample_index,theta_sample,p_sample", parts())
+    with CsvWriter(path, "param_value,class,period,sample_index,theta_sample,p_sample") as out:
+        for row in rows:
+            n = len(row.p_samples)
+            out.write([(["%.17g,%s" % (row.param_value, class_period(row.attractor))],
+                        np.zeros(n, dtype=np.intp)), np.arange(n), row.opinion_samples,
+                       row.p_samples])
 
 
 def write_gallery_csv(entries: Sequence[tuple[float, Trajectory, AttractorClass]],
                       path) -> None:
     """Export gallery trajectories: beta,tick,theta,p,class (agent-0 opinion)."""
-    _write_csv(path, "beta,tick,theta,p,class", (
-        [np.full(traj.n_snapshots, beta), traj.ticks, traj.opinions[:, 0], traj.pollution,
-         ([attractor.kind], np.zeros(traj.n_snapshots, dtype=np.intp))]
-        for beta, traj, attractor in entries
-    ))
+    with CsvWriter(path, "beta,tick,theta,p,class") as out:
+        for beta, traj, attractor in entries:
+            n = traj.n_snapshots
+            out.write([np.full(n, beta), traj.ticks, traj.opinions[:, 0], traj.pollution,
+                       ([attractor.kind], np.zeros(n, dtype=np.intp))])

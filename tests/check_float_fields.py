@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/check_float_fields.py [--count N] [--seed S]
 
-The doubles cover the range that ``dynamics._float_fields`` formats without
+The doubles cover the range that ``csvout._float_fields`` formats without
 %, 1e-7 <= |x| < 1e16, and its edges: random sign, decade and mantissa bits;
 the 64 doubles on either side of each power of ten from 1e-9 to 1e17, of each
 power of two in between, and of the range's ends; exact ties in the 17th
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from codapol.dynamics import _float_fields
+from codapol.csvout import _float_fields
 
 CHUNK = 2**16
 

@@ -513,9 +513,11 @@ def certify_cluster_loop(members, graph, actions, beta):
         weak_slack = inside - outside + margin
         strong_slack = inside - outside - margin
         worst_strong = min(worst_strong, strong_slack)
-        if weak_slack < 0.0:
+        # verdicts by the loop's worst-case field: (1 - beta) mean + beta (weak), - beta (strong)
+        mean = (inside - outside) / n_i
+        if (1.0 - beta) * mean + beta < 0.0:
             weak_fails.append((i, inside, outside, weak_slack))
-        if strong_slack < 0.0:
+        if (1.0 - beta) * mean - beta < 0.0:
             strong_fails.append((i, inside, outside, strong_slack))
     binding = weak_fails if weak_fails else strong_fails
     return ClusterReport(

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from codapol import analysis as analysis_module
@@ -242,6 +242,25 @@ class TestCertifyCluster:
         assert not rep.strongly_robust
         assert rep.worst_strong_slack == -math.inf
 
+    def test_float_boundary_decided_by_the_run_loop_field(self):
+        # each member of the 6-clique A also has 4 neighbors in the 30-clique B:
+        # in - out - beta / (1 - beta) n_i = 5 - 4 - (0.1 / 0.9) 9 rounds to 0.0,
+        # but the loop's field 0.9 (1 / 9) - 0.1 rounds to -1.39e-17
+        a, b = range(6), range(6, 36)
+        pairs = [*itertools.combinations(a, 2), *itertools.combinations(b, 2),
+                 *((i, 6 + 4 * i + j) for i in a for j in range(4))]
+        g = parse_edge_list("N 36 directed=0\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+        params = ModelParams(beta=0.1, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=1.0)
+        s0 = initial_state(np.where(np.arange(36) < 6, 0.5, -0.5), 100.0, params)
+        rep = certify_cluster(a, g, s0.actions, params.beta)
+        assert rep.weakly_robust and not rep.strongly_robust
+        assert rep.worst_strong_slack == 0.0
+        assert rep.violations == tuple((i, 5, 4, 0.0) for i in a)
+        assert report_key(rep) == report_key(certify_cluster_loop(a, g, s0.actions, params.beta))
+        traj = simulate(s0, g, params, 5)
+        assert (traj.q_p == -1).all()  # the signal stays against A
+        assert (traj.actions[:4, :6] == 1).all() and (traj.actions[4, :6] == -1).all()
+
     def test_violations_record_counts_and_slack(self):
         g = complete_graph(20)
         actions = np.ones(20, dtype=np.int64)
@@ -459,6 +478,33 @@ class TestFindPreservedClusters:
                 if rep.action == -1 and rep.weakly_robust:
                     for i in comp:
                         assert np.all(traj.actions[:, i] == -1)
+
+    # float boundaries, where the margin slack and the run loop's field round apart
+    @example(beta=0.1, size=6, out=4, seed=0)
+    @example(beta=0.4, size=6, out=1, seed=0)
+    @example(beta=0.05, size=11, out=9, seed=0)
+    @example(beta=0.45, size=2, out=10, seed=0)
+    @given(beta=st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.45, 0.5, 0.9]), size=st.integers(1, 16),
+           out=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certificates_hold_over_the_run(self, beta, size, out, seed):
+        # a clique of `size` agents at action 1, each also listing `out` agents of its
+        # own frozen at -1, so the run's field is the certificate's worst case
+        assume(size + out >= 2)
+        pairs = [*itertools.combinations(range(size), 2),
+                 *((i, size + out * i + j) for i in range(size) for j in range(out))]
+        n = size * (1 + out)
+        g = parse_edge_list(f"N {n} directed=0\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        theta = np.full(n, -1.0)
+        theta[:size] = np.random.default_rng(seed).uniform(0.01, 1.0, size)
+        for q_p, p_bar in ((1, 1e9), (-1, -1.0)):  # the signal held for, then against, them
+            params = ModelParams(beta=beta, gamma=0.5, e_min=0.0, e_max=1.0, p_bar=p_bar)
+            s0 = initial_state(theta, 0.0, params, allow_boundary=True)
+            rep = certify_cluster(range(size), g, s0.actions, beta)
+            traj = simulate(s0, g, params, 40, allow_boundary=True)
+            assert (traj.q_p == q_p).all()
+            if rep.weakly_robust if q_p == 1 else rep.strongly_robust:
+                assert (traj.actions[:, :size] == 1).all()
 
     def test_directed_edge_list_run(self, tmp_path):
         path = tmp_path / "g.txt"

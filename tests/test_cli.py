@@ -503,16 +503,37 @@ class TestCompleteGraphAtScale:
         margin = beta / (1.0 - beta) * (n - 1)
         seen = set()
         for cluster_id, row in enumerate(rows):
-            k, action, weak, strong, slack = row.split(",")[1:]
+            k, action = row.split(",")[1:3]
             k, action = int(k), int(action)
             assert action not in seen  # all agents of one action are one component
             seen.add(action)
             balance = (k - 1) - (n - k)
-            assert row == (f"{cluster_id},{k},{action},{int(balance + margin >= 0.0)},"
-                           f"{int(balance - margin >= 0.0)},{balance - margin:.17g}")
+            # the verdicts by the run loop's worst-case field, the slack by the margin
+            weak, strong = ((1.0 - beta) * (balance / (n - 1)) + beta * q_p >= 0.0
+                            for q_p in (1.0, -1.0))
+            assert row == (f"{cluster_id},{k},{action},{int(weak)},{int(strong)},"
+                           f"{balance - margin:.17g}")
 
 
 class TestExperimentDocuments:
+    def test_lattice_bifurcation_regimes(self, tmp_path):
+        # bifurcation-lattice.txt on a 10 x 10 lattice (p_bar still 15 per 20 agents)
+        # with a shorter run: cycles and fixed points at weak coupling, then aperiodic
+        # rows, then period 7
+        text = (ROOT / "experiments" / "bifurcation-lattice.txt").read_text()
+        for old, new in (("side = 20", "side = 10"), ("p_bar = 300", "p_bar = 75"),
+                         ("transient = 10000", "transient = 2000"), ("tail = 1024", "tail = 512")):
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / "doc.txt").write_text(text)
+        assert main(["--config", str(tmp_path / "doc.txt"), "--out", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "bifurcation.csv").read_text().splitlines()[1:]
+        rows = dict.fromkeys(line.rsplit(",", 3)[0] for line in lines)  # in grid order
+        assert [row.split(",", 1)[1] for row in rows] == [
+            "cycle,10", *["fixed,"] * 4, "cycle,20", "cycle,16", *["aperiodic,"] * 15,
+            "cycle,7", "cycle,7"]
+        assert len(lines) == 24 * 512
+
     # each document of experiments/ with its CLI flags, and the CSVs it must
     # write as the benchmark workload that times it: {csv: (workload, seed key, name)}
     @pytest.mark.parametrize("doc, flags, csvs", [

@@ -16,10 +16,7 @@ from hypothesis import strategies as st
 from codapol.dynamics import (
     ModelParams,
     SimState,
-    _BLOCK_FIELDS,
-    _EXACT_MIN,
     _philox4x64,
-    _write_csv,
     fs_initial_state,
     initial_state,
     local_fields,
@@ -31,6 +28,7 @@ from codapol.dynamics import (
     step_opinion,
     step_pollution,
 )
+from codapol.csvout import _BLOCK_FIELDS, _EXACT_MIN, CsvWriter
 from codapol.graph import Graph, complete_graph, random_graph
 
 from helpers import (
@@ -703,8 +701,15 @@ ANY_INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([-2**63, 2
 LABELS = ("", "fixed", "cycle", "aperiodic", "0.5,cycle,12", "1e+308,fixed,")
 
 
+def write_parts(path, header, parts):
+    """Write ``header`` and then each of ``parts``, a list of columns, by one ``write`` call."""
+    with CsvWriter(path, header) as out:
+        for part in parts:
+            out.write(part)
+
+
 def csv_per_field(header, parts):
-    """Reference ``_write_csv`` text: one % call per field, one join per line."""
+    """Reference ``CsvWriter`` text: one % call per field, one join per line."""
     lines = [header]
     for columns in parts:
         n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
@@ -728,15 +733,15 @@ def random_part(rng, n, k):
 
 
 class TestWriteCsv:
-    """``_write_csv`` against a per-field % oracle."""
+    """``CsvWriter`` against a per-field % oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_values(self, data, tmp_path_factory):
         parts = []
+        k = data.draw(st.integers(1, 3), label="k")  # every write call gives the same columns
         for _ in range(data.draw(st.integers(1, 2), label="parts")):
             n = data.draw(st.integers(0, 12), label="lines")
-            k = data.draw(st.integers(1, 3), label="k")
             floats = data.draw(st.lists(ANY_FLOAT, min_size=n * k, max_size=n * k))
             ints = data.draw(st.lists(ANY_INT64, min_size=n, max_size=n))
             codes = data.draw(st.lists(st.integers(0, len(LABELS) - 1), min_size=n, max_size=n))
@@ -744,8 +749,36 @@ class TestWriteCsv:
                           np.array(ints, dtype=np.int64), (LABELS, np.array(codes, dtype=int)),
                           np.array(floats[:n], dtype=np.float64)])
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        _write_csv(path, "h", parts)
+        write_parts(path, "h", parts)
         assert path.read_bytes().decode() == csv_per_field("h", parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_split_into_calls(self, data, tmp_path_factory):
+        # a random_part line holds 2 + 3 fields; the lines go to the writer in one
+        # call and in calls split anywhere, 0- and 1-line calls and block edges included
+        step = _BLOCK_FIELDS // 5
+        n = data.draw(st.one_of(st.integers(0, 12), st.sampled_from(
+            [step - 1, step, step + 1, 2 * step + 1])), label="lines")
+        edges = [min(n, x) for x in (1, step - 1, step, step + 1, 2 * step)]
+        cuts = sorted(data.draw(st.lists(st.one_of(st.integers(0, n), st.sampled_from(edges)),
+                                         max_size=6), label="cuts"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        whole = random_part(rng, n, 2)
+        labels, codes = whole[-1]
+        parts = []
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            # each call brings its own label list: shuffled, after some unused labels
+            perm, unused = rng.permutation(len(labels)), int(rng.integers(0, 3))
+            own = ["unused"] * unused + [labels[i] for i in perm]
+            parts.append([c[a:b] for c in whole[:-1]]
+                         + [(own, unused + np.argsort(perm)[codes[a:b]])])
+        one, split = (tmp_path_factory.mktemp("csv") / "out.csv" for _ in range(2))
+        write_parts(one, "h", [whole])
+        write_parts(split, "h", parts)
+        assert split.read_bytes() == one.read_bytes()
+        if n <= 12:
+            assert one.read_text() == csv_per_field("h", [whole])
 
     # no shrink phase: shrinking a failing list of 128+ floats ran for minutes,
     # and the assertion's diff already shows the wrong field
@@ -757,7 +790,7 @@ class TestWriteCsv:
         # distinct enough for the block to take _float_fields' exact path
         part = [np.arange(len(floats)), np.array(floats)]
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        _write_csv(path, "i,x", [part])
+        write_parts(path, "i,x", [part])
         assert path.read_bytes().decode() == csv_per_field("i,x", [part])
 
     def test_exact_range_edges(self, tmp_path):
@@ -778,7 +811,7 @@ class TestWriteCsv:
         column = np.array(pinned + [-x for x in pinned])
         assert len(np.unique(column.view(np.int64))) >= _EXACT_MIN
         part = [np.arange(len(column)), column]
-        _write_csv(tmp_path / "out.csv", "i,x", [part])
+        write_parts(tmp_path / "out.csv", "i,x", [part])
         text = (tmp_path / "out.csv").read_text()
         assert text == csv_per_field("i,x", [part])
         fields = [line.split(",")[1] for line in text.split("\n")[1:-1]]
@@ -790,7 +823,7 @@ class TestWriteCsv:
         ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64), len(floats))
         odd = np.arange(len(floats)) % 2
         part = [floats, ints, odd == 0, (("", "x"), odd)]
-        _write_csv(tmp_path / "out.csv", "a,b,c,d", [part])
+        write_parts(tmp_path / "out.csv", "a,b,c,d", [part])
         text = (tmp_path / "out.csv").read_text()
         assert text == csv_per_field("a,b,c,d", [part])
         assert "-2.2250738585072014e-308,0,1,\n" in text
@@ -802,7 +835,7 @@ class TestWriteCsv:
     def test_no_lines(self, tmp_path):
         empty = [np.empty((0, 2)), np.empty(0, dtype=np.int64), ((), np.empty(0, dtype=int))]
         for parts in ([], [empty], [empty, empty]):
-            _write_csv(tmp_path / "out.csv", "a,b", parts)
+            write_parts(tmp_path / "out.csv", "a,b", parts)
             assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
@@ -811,7 +844,7 @@ class TestWriteCsv:
         n = _BLOCK_FIELDS // 5 + delta
         rng = np.random.default_rng(n)
         parts = [random_part(rng, n, 2), random_part(rng, 3, 2)]
-        _write_csv(tmp_path / "out.csv", "h", parts)
+        write_parts(tmp_path / "out.csv", "h", parts)
         text = (tmp_path / "out.csv").read_text()
         assert text == csv_per_field("h", parts)
         assert text.count("\n") == n + 4

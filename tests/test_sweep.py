@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from codapol.analysis import Aperiodic, FixedPoint, LimitCycle, class_period, classify_states
 from codapol import dynamics
+from codapol.csvout import _BLOCK_FIELDS
 from codapol.dynamics import (
-    _BLOCK_FIELDS,
     ModelParams,
     SimState,
     _run,
